@@ -77,35 +77,31 @@ class CtreeApp : public WhisperApp
     void
     setup(Runtime &rt) override
     {
-        pm::PmContext &ctx = rt.ctx(0);
-        rootOff_ = 0;
-        const Addr pool_base = lineBase(sizeof(CtRoot) + kCacheLineSize);
-        pool_ = std::make_unique<nvml::NvmlPool>(
-            ctx, pool_base, config_.poolBytes - pool_base,
-            config_.threads);
-        CtRoot root{CtRoot::kMagic, kNullAddr, 0};
-        ctx.store(rootOff_, &root, sizeof(root), DataClass::User);
-        ctx.flush(rootOff_, sizeof(root));
-        ctx.fence(FenceKind::Durability);
+        shards_.clear();
+        format(rt.ctx(0), 0, config_.poolBytes, config_.threads);
     }
 
     void
     run(Runtime &rt, pm::PmContext &ctx, ThreadId tid) override
     {
         (void)rt;
+        Shard &sh = shards_[0];
         Rng rng(config_.seed * 73 + tid);
         for (std::uint64_t op = 0; op < config_.opsPerThread; op++) {
             // Unique keys per thread (clients insert disjoint ranges).
             const std::uint64_t key =
                 (static_cast<std::uint64_t>(tid) << 48) | rng() >> 16;
-            // Client-side key generation and buffers (paper Fig. 6:
-            // ctree is ~3.3% PM accesses).
-            ctx.vBurst(&rng, 1 << 14, 520, 220);
-            ctx.compute(11000);
-            insert(ctx, key, rng());
+            pad(ctx, &rng);
+            {
+                std::lock_guard<std::mutex> guard(runLock_);
+                put(ctx, sh, key, rng());
+            }
             // Occasional lookups between inserts.
-            if (op % 4 == 0)
-                lookup(ctx, key);
+            if (op % 4 == 0) {
+                std::lock_guard<std::mutex> guard(runLock_);
+                std::uint64_t value = 0;
+                find(ctx, sh, key, value);
+            }
         }
     }
 
@@ -113,33 +109,30 @@ class CtreeApp : public WhisperApp
     verify(Runtime &rt) override
     {
         VerifyReport rep = report();
-        std::string why;
-        rep.check(checkTree(rt, &why), "tree-intact", why);
+        for (const Shard &sh : shards_) {
+            std::string why;
+            rep.check(checkTree(rt.ctx(0), sh, &why), "tree-intact",
+                      why);
+        }
         return rep;
     }
 
     void
     recover(Runtime &rt) override
     {
-        pool_->recover(rt.ctx(0));
-    }
-
-    VerifyReport
-    verifyRecovered(Runtime &rt) override
-    {
-        VerifyReport rep = report();
-        std::string why;
-        rep.check(checkTree(rt, &why), "tree-intact", why);
-        return rep;
+        for (Shard &sh : shards_)
+            sh.pool->recover(rt.ctx(0));
     }
 
     VerifyReport
     checkRecoveryInvariants(Runtime &rt) override
     {
         VerifyReport rep = report();
-        std::string why;
-        rep.check(pool_->logsQuiescent(rt.ctx(0), &why),
-                  "logs-quiescent", why);
+        for (const Shard &sh : shards_) {
+            std::string why;
+            rep.check(sh.pool->logsQuiescent(rt.ctx(0), &why),
+                      "logs-quiescent", why);
+        }
         return rep;
     }
 
@@ -148,25 +141,24 @@ class CtreeApp : public WhisperApp
     scrubLayer(Runtime &rt, std::vector<LineAddr> &lines,
                VerifyReport &rep) override
     {
-        pool_->scrub(rt.ctx(0), lines, rep);
+        for (Shard &sh : shards_)
+            sh.pool->scrub(rt.ctx(0), lines, rep);
     }
 
     /** @{ \name Generated-workload surface
      *
-     * One private crit-bit tree + NvmlPool per worker thread over a
-     * disjoint device slice (tree depth — and so per-op latency — is
-     * then a pure function of the thread's own key set). Scans follow
-     * the suite convention for the generated workloads: consecutive
-     * key ids, one point lookup each.
+     * One private crit-bit tree per worker thread over a disjoint
+     * device slice (tree depth — and so per-op latency — is then a
+     * pure function of the thread's own key set). Scans follow the
+     * suite convention for the generated workloads: consecutive key
+     * ids, one point lookup each.
      */
-
-    bool supportsWorkload() const override { return true; }
 
     void
     workloadSetup(Runtime &rt, const WorkloadKeymap &map) override
     {
-        wlMap_ = map;
-        wlShards_.clear();
+        keymap_ = map;
+        shards_.clear();
         const std::size_t region =
             lineBase(config_.poolBytes / config_.threads);
         panic_if(region <= sizeof(CtRoot) + (2u << 20),
@@ -174,25 +166,12 @@ class CtreeApp : public WhisperApp
                  "shards");
         for (unsigned t = 0; t < map.threads; t++) {
             pm::PmContext &ctx = rt.ctx(t);
-            WlShard shard;
-            shard.rootOff = static_cast<Addr>(t) * region;
-            const Addr pool_base = lineBase(
-                shard.rootOff + sizeof(CtRoot) + kCacheLineSize);
-            shard.pool = std::make_unique<nvml::NvmlPool>(
-                ctx, pool_base,
-                shard.rootOff + region - pool_base, 1);
-            CtRoot root{CtRoot::kMagic, kNullAddr, 0};
-            ctx.store(shard.rootOff, &root, sizeof(root),
-                      DataClass::User);
-            ctx.flush(shard.rootOff, sizeof(root));
-            ctx.fence(FenceKind::Durability);
-            wlShards_.push_back(std::move(shard));
+            const Addr base = static_cast<Addr>(t) * region;
+            format(ctx, base, base + region, 1);
             const ThreadId tid = static_cast<ThreadId>(t);
             for (std::uint64_t i = 0; i < map.perThread(); i++) {
                 const std::uint64_t key = map.lo(tid) + i;
-                insertAt(ctx, *wlShards_[t].pool,
-                         wlShards_[t].rootOff, key,
-                         key * 0x9e3779b97f4a7c15ull);
+                put(ctx, shards_[t], key, key * 0x9e3779b97f4a7c15ull);
             }
         }
     }
@@ -201,32 +180,28 @@ class CtreeApp : public WhisperApp
     workloadGet(pm::PmContext &ctx, ThreadId tid,
                 std::uint64_t key) override
     {
-        pad(ctx);
+        pad(ctx, this);
         std::uint64_t value = 0;
-        return findAt(ctx, wlShards_[tid].rootOff, key, value) !=
-               kNullAddr;
+        return find(ctx, shards_[tid], key, value) != kNullAddr;
     }
 
     void
     workloadPut(pm::PmContext &ctx, ThreadId tid, std::uint64_t key,
                 std::uint64_t value) override
     {
-        pad(ctx);
-        insertAt(ctx, *wlShards_[tid].pool, wlShards_[tid].rootOff,
-                 key, value);
+        pad(ctx, this);
+        put(ctx, shards_[tid], key, value);
     }
 
     bool
     workloadRmw(pm::PmContext &ctx, ThreadId tid, std::uint64_t key,
                 std::uint64_t delta) override
     {
-        pad(ctx);
+        pad(ctx, this);
         std::uint64_t value = 0;
         const bool found =
-            findAt(ctx, wlShards_[tid].rootOff, key, value) !=
-            kNullAddr;
-        insertAt(ctx, *wlShards_[tid].pool, wlShards_[tid].rootOff,
-                 key, value + delta);
+            find(ctx, shards_[tid], key, value) != kNullAddr;
+        put(ctx, shards_[tid], key, value + delta);
         return found;
     }
 
@@ -234,59 +209,61 @@ class CtreeApp : public WhisperApp
     workloadScan(pm::PmContext &ctx, ThreadId tid, std::uint64_t key,
                  std::uint64_t len) override
     {
-        pad(ctx);
+        pad(ctx, this);
         std::uint64_t found = 0;
         std::uint64_t value = 0;
         for (std::uint64_t j = 0; j < len; j++)
-            if (findAt(ctx, wlShards_[tid].rootOff,
-                       wlMap_.scanKey(tid, key, j), value) !=
-                kNullAddr)
+            if (find(ctx, shards_[tid], keymap_.scanKey(tid, key, j),
+                     value) != kNullAddr)
                 found++;
         return found;
-    }
-
-    VerifyReport
-    workloadCheck(Runtime &rt) override
-    {
-        VerifyReport rep = report();
-        for (unsigned t = 0; t < wlShards_.size(); t++) {
-            std::string why;
-            rep.check(checkTreeAt(rt, wlShards_[t].rootOff, &why),
-                      "tree-intact",
-                      "shard " + std::to_string(t) + ": " + why);
-            rep.check(wlShards_[t].pool->logsQuiescent(rt.ctx(0),
-                                                       &why),
-                      "logs-quiescent", why);
-        }
-        return rep;
     }
 
     /** @} */
 
   private:
-    struct WlShard
+    /** One tree: its root and the NvmlPool its nodes live in. */
+    struct Shard
     {
         Addr rootOff = 0;
         std::unique_ptr<nvml::NvmlPool> pool;
     };
 
-    CtRoot *root(pm::PmContext &ctx) { return ctx.pool().at<CtRoot>(
-        rootOff_); }
-
-    /** run()'s client-side DRAM padding (paper Fig. 6 proportions). */
+    /**
+     * Format an empty tree over [@p base, @p end): the root at
+     * @p base, then an NvmlPool with @p lanes undo-log lanes.
+     */
     void
-    pad(pm::PmContext &ctx)
+    format(pm::PmContext &ctx, Addr base, Addr end, unsigned lanes)
     {
-        ctx.vBurst(this, 1 << 14, 520, 220);
+        Shard sh;
+        sh.rootOff = base;
+        const Addr pool_base =
+            lineBase(base + sizeof(CtRoot) + kCacheLineSize);
+        sh.pool = std::make_unique<nvml::NvmlPool>(
+            ctx, pool_base, end - pool_base, lanes);
+        CtRoot root{CtRoot::kMagic, kNullAddr, 0};
+        ctx.store(base, &root, sizeof(root), DataClass::User);
+        ctx.flush(base, sizeof(root));
+        ctx.fence(FenceKind::Durability);
+        shards_.push_back(std::move(sh));
+    }
+
+    /** Client-side key generation and buffers (paper Fig. 6: ctree
+     *  is ~3.3% PM accesses). */
+    static void
+    pad(pm::PmContext &ctx, const void *base)
+    {
+        ctx.vBurst(base, 1 << 14, 520, 220);
         ctx.compute(11000);
     }
 
     /** Descend to @p key's leaf; its offset (value out) or null. */
     Addr
-    findAt(pm::PmContext &ctx, Addr root_off, std::uint64_t key,
-           std::uint64_t &value)
+    find(pm::PmContext &ctx, const Shard &sh, std::uint64_t key,
+         std::uint64_t &value)
     {
-        Addr cur = ctx.pool().at<CtRoot>(root_off)->top;
+        Addr cur = ctx.pool().at<CtRoot>(sh.rootOff)->top;
         while (isInternal(cur)) {
             const CtInternal *node =
                 ctx.pool().at<CtInternal>(untag(cur));
@@ -304,26 +281,13 @@ class CtreeApp : public WhisperApp
         return cur;
     }
 
-    bool
-    lookup(pm::PmContext &ctx, std::uint64_t key)
-    {
-        std::lock_guard<std::mutex> guard(treeLock_);
-        std::uint64_t value = 0;
-        return findAt(ctx, rootOff_, key, value) != kNullAddr;
-    }
-
+    /** Insert-or-update @p key in one undo-logged transaction. */
     void
-    insert(pm::PmContext &ctx, std::uint64_t key, std::uint64_t value)
+    put(pm::PmContext &ctx, Shard &sh, std::uint64_t key,
+        std::uint64_t value)
     {
-        std::lock_guard<std::mutex> guard(treeLock_);
-        insertAt(ctx, *pool_, rootOff_, key, value);
-    }
-
-    void
-    insertAt(pm::PmContext &ctx, nvml::NvmlPool &pool, Addr root_off,
-             std::uint64_t key, std::uint64_t value)
-    {
-        CtRoot *r = ctx.pool().at<CtRoot>(root_off);
+        nvml::NvmlPool &pool = *sh.pool;
+        CtRoot *r = ctx.pool().at<CtRoot>(sh.rootOff);
 
         if (r->top == kNullAddr) {
             nvml::TxContext tx(pool, ctx);
@@ -384,7 +348,7 @@ class CtreeApp : public WhisperApp
         // Walk again to the splice point: the first link whose
         // subtree's critical bit is below ours.
         Addr *link = &r->top;
-        Addr link_holder = root_off + offsetof(CtRoot, top);
+        Addr link_holder = sh.rootOff + offsetof(CtRoot, top);
         while (isInternal(*link)) {
             CtInternal *node = ctx.pool().at<CtInternal>(untag(*link));
             if (node->bit < crit)
@@ -413,16 +377,9 @@ class CtreeApp : public WhisperApp
     }
 
     bool
-    checkTree(Runtime &rt, std::string *why)
+    checkTree(pm::PmContext &ctx, const Shard &sh, std::string *why)
     {
-        return checkTreeAt(rt, rootOff_, why);
-    }
-
-    bool
-    checkTreeAt(Runtime &rt, Addr root_off, std::string *why)
-    {
-        pm::PmContext &ctx = rt.ctx(0);
-        CtRoot *r = ctx.pool().at<CtRoot>(root_off);
+        CtRoot *r = ctx.pool().at<CtRoot>(sh.rootOff);
         if (r->magic != CtRoot::kMagic) {
             if (why)
                 *why = "bad root magic";
@@ -474,11 +431,9 @@ class CtreeApp : public WhisperApp
         return ok;
     }
 
-    std::unique_ptr<nvml::NvmlPool> pool_;
-    Addr rootOff_ = 0;
-    std::mutex treeLock_;
-    WorkloadKeymap wlMap_;
-    std::vector<WlShard> wlShards_;
+    std::vector<Shard> shards_;
+    std::mutex runLock_; //!< run()'s threads share shards_[0]
+    WorkloadKeymap keymap_;
 };
 
 } // namespace

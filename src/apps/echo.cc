@@ -118,40 +118,14 @@ class EchoApp : public WhisperApp
     void
     setup(Runtime &rt) override
     {
-        pm::PmContext &ctx = rt.ctx(0);
-        // Layout: [root][client logs][buddy heap].
-        rootOff_ = 0;
-        const Addr logs_off =
-            lineBase(sizeof(EchoRoot) + kCacheLineSize);
-        logsOff_ = logs_off;
-        const std::size_t logs_bytes = config_.threads *
-                                       kLogEntriesPerClient *
-                                       sizeof(LogEntry);
-        heapOff_ = lineBase(logs_off + logs_bytes + kCacheLineSize);
-        heap_ = std::make_unique<alloc::BuddyAllocator>(
-            ctx, heapOff_, config_.poolBytes - heapOff_);
-
-        EchoRoot root{};
-        root.magic = EchoRoot::kMagic;
-        root.nextTs = 1;
-        for (auto &bucket : root.buckets)
-            bucket.head = kNullAddr;
-        ctx.store(rootOff_, &root, sizeof(root), DataClass::User);
-        ctx.flush(rootOff_, sizeof(root));
-
-        LogEntry empty{0, 0, 0, 1};
-        for (std::uint64_t i = 0;
-             i < config_.threads * kLogEntriesPerClient; i++) {
-            ctx.store(logsOff_ + i * sizeof(LogEntry), &empty,
-                      sizeof(empty), DataClass::Log);
-        }
-        ctx.flush(logsOff_, logs_bytes);
-        ctx.fence(FenceKind::Durability);
+        shards_.clear();
+        format(rt.ctx(0), 0, config_.poolBytes, config_.threads);
     }
 
     void
     run(Runtime &rt, pm::PmContext &ctx, ThreadId tid) override
     {
+        (void)rt;
         Rng rng(config_.seed + tid * 7919);
         const std::uint64_t key_space =
             std::max<std::uint64_t>(1024, config_.opsPerThread);
@@ -182,12 +156,9 @@ class EchoApp : public WhisperApp
                         ctx.vLoad(&it->second, 8);
                 }
                 ops.emplace_back(key, value);
-                // Client-side batching/serialization (paper Fig. 6:
-                // Echo is ~5.5% PM accesses).
-                ctx.vBurst(&local, 1 << 16, 160, 70);
-                ctx.compute(3200);
+                pad(ctx, &local);
             }
-            submitBatch(rt, ctx, tid, ops);
+            submitBatch(ctx, shards_[0], tid, ops);
             done += batch;
         }
     }
@@ -196,85 +167,19 @@ class EchoApp : public WhisperApp
     verify(Runtime &rt) override
     {
         VerifyReport rep = report();
-        std::string why;
-        rep.check(checkStore(rt, &why), "store-intact", why);
+        for (const Shard &sh : shards_) {
+            std::string why;
+            rep.check(checkStore(rt.ctx(0), sh, &why), "store-intact",
+                      why);
+        }
         return rep;
     }
 
     void
     recover(Runtime &rt) override
     {
-        pm::PmContext &ctx = rt.ctx(0);
-        // Before the heap reclaims VOLATILE blocks, unlink anything
-        // the crash left half-published: entries whose descriptor
-        // never reached CREATED (or whose block never reached
-        // PERSISTENT) and version-chain heads still VOLATILE.
-        EchoRoot *r = root(ctx);
-        for (std::uint64_t b = 0; b < kBuckets; b++) {
-            Bucket &bucket = r->buckets[b];
-            // Prune the chain head while it is unfinished.
-            while (bucket.head != kNullAddr) {
-                Entry *ent = ctx.pool().at<Entry>(bucket.head);
-                if (ent->status == kCreated &&
-                    heap_->state(ctx, bucket.head) ==
-                        alloc::BlockState::Persistent) {
-                    break;
-                }
-                ctx.storeField(bucket.head, ent->next, DataClass::User);
-                ctx.flush(ctx.pool().offsetOf(&bucket.head), 8);
-                ctx.fence(FenceKind::Ordering);
-            }
-            // Interior entries were linked before any newer head, so
-            // only the head can be unfinished; still scan versions.
-            for (Addr cur = bucket.head; cur != kNullAddr;) {
-                Entry *ent = ctx.pool().at<Entry>(cur);
-                while (ent->versions != kNullAddr &&
-                       heap_->state(ctx, ent->versions) !=
-                           alloc::BlockState::Persistent) {
-                    const Version *ver =
-                        ctx.pool().at<Version>(ent->versions);
-                    ctx.storeField(ent->versions, ver->next,
-                                   DataClass::User);
-                    ctx.flush(cur + offsetof(Entry, versions), 8);
-                    ctx.fence(FenceKind::Ordering);
-                }
-                cur = ent->next;
-            }
-        }
-        heap_->recover(ctx);
-        // Re-apply any batch whose log entries were durable but not
-        // yet marked applied (idempotent thanks to the version ts).
-        for (unsigned client = 0; client < config_.threads; client++) {
-            for (std::uint64_t slot = 0; slot < kLogEntriesPerClient;
-                 slot++) {
-                const Addr off = logOff(client, slot);
-                LogEntry ent{};
-                ctx.load(off, &ent, sizeof(ent));
-                if (ent.applied || ent.ts == 0)
-                    continue;
-                if (ent.key ^ ent.value ^ ent.ts) {
-                    // Entry is well-formed only if a matching version
-                    // is absent; apply then mark.
-                    if (!versionExists(rt, ctx, ent.key, ent.ts))
-                        applyUpdate(rt, ctx, ent.key, ent.value,
-                                    ent.ts);
-                }
-                const std::uint64_t one = 1;
-                auto *slot_ent = ctx.pool().at<LogEntry>(off);
-                ctx.storeField(slot_ent->applied, one, DataClass::Log);
-                ctx.flush(off + offsetof(LogEntry, applied), 8);
-                ctx.fence(FenceKind::Ordering);
-            }
-        }
-    }
-
-    VerifyReport
-    verifyRecovered(Runtime &rt) override
-    {
-        VerifyReport rep = report();
-        std::string why;
-        rep.check(checkStore(rt, &why), "store-intact", why);
-        return rep;
+        for (Shard &sh : shards_)
+            recoverShard(rt.ctx(0), sh);
     }
 
     VerifyReport
@@ -285,28 +190,130 @@ class EchoApp : public WhisperApp
         // and VOLATILE -> PERSISTENT; recover() prunes stragglers.
         pm::PmContext &ctx = rt.ctx(0);
         VerifyReport rep = report();
-        EchoRoot *r = root(ctx);
-        for (std::uint64_t b = 0; b < kBuckets; b++) {
-            for (Addr cur = r->buckets[b].head; cur != kNullAddr;) {
-                const Entry *ent = ctx.pool().at<Entry>(cur);
-                if (!rep.check(ent->status == kCreated &&
-                                   heap_->state(ctx, cur) ==
-                                       alloc::BlockState::Persistent,
-                               "descriptors-settled",
-                               "echo entry with unsettled descriptor"))
-                    return rep;
-                for (Addr v = ent->versions; v != kNullAddr;) {
-                    if (!rep.check(heap_->state(ctx, v) ==
-                                       alloc::BlockState::Persistent,
-                                   "versions-persistent",
-                                   "echo version still VOLATILE"))
+        for (const Shard &sh : shards_) {
+            const EchoRoot *r = root(ctx, sh);
+            for (std::uint64_t b = 0; b < kBuckets; b++) {
+                for (Addr cur = r->buckets[b].head; cur != kNullAddr;) {
+                    const Entry *ent = ctx.pool().at<Entry>(cur);
+                    if (!rep.check(ent->status == kCreated &&
+                                       sh.heap->state(ctx, cur) ==
+                                           alloc::BlockState::Persistent,
+                                   "descriptors-settled",
+                                   "echo entry with unsettled "
+                                   "descriptor"))
                         return rep;
-                    v = ctx.pool().at<Version>(v)->next;
+                    for (Addr v = ent->versions; v != kNullAddr;) {
+                        if (!rep.check(sh.heap->state(ctx, v) ==
+                                           alloc::BlockState::Persistent,
+                                       "versions-persistent",
+                                       "echo version still VOLATILE"))
+                            return rep;
+                        v = ctx.pool().at<Version>(v)->next;
+                    }
+                    cur = ent->next;
                 }
-                cur = ent->next;
             }
         }
         return rep;
+    }
+
+    // ---- Generated-workload surface -----------------------------------
+    //
+    // Echo's client/master split maps naturally onto partitioned
+    // workload threads: each thread is a client *and* the master for
+    // its own key range, with a private shard (root, one client log,
+    // buddy heap) over a disjoint pool slice. Every put keeps Echo's
+    // log-then-apply shape (persist the update into a log slot, apply
+    // it as a new version, mark the slot applied), so the access mix
+    // matches run()'s single-update granularity.
+
+    void
+    workloadSetup(Runtime &rt, const core::WorkloadKeymap &map) override
+    {
+        keymap_ = map;
+        shards_.clear();
+        const Addr region = lineBase(config_.poolBytes / map.threads);
+        const Addr logs_bytes =
+            kLogEntriesPerClient * sizeof(LogEntry);
+        panic_if(region <= sizeof(EchoRoot) + logs_bytes + (4u << 20),
+                 "echo workload: pool too small for %u shards",
+                 map.threads);
+        for (unsigned t = 0; t < map.threads; t++) {
+            pm::PmContext &ctx = rt.ctx(t);
+            const Addr base = static_cast<Addr>(t) * region;
+            format(ctx, base, base + region, 1);
+            for (std::uint64_t i = 0; i < map.perThread(); i++) {
+                const std::uint64_t key = map.lo(t) + i;
+                applyUpdate(ctx, shards_[t], key,
+                            key * 0x9e3779b97f4a7c15ull, 1);
+            }
+        }
+    }
+
+    bool
+    workloadGet(pm::PmContext &ctx, ThreadId tid,
+                std::uint64_t key) override
+    {
+        stage(ctx, key);
+        return readLatest(ctx, shards_[tid], key);
+    }
+
+    void
+    workloadPut(pm::PmContext &ctx, ThreadId tid, std::uint64_t key,
+                std::uint64_t value) override
+    {
+        Shard &sh = shards_[tid];
+        stage(ctx, key);
+        EchoRoot *r = root(ctx, sh);
+        const std::uint64_t ts = ctx.loadField(r->nextTs);
+        ctx.storeField(r->nextTs, ts + 1, DataClass::User);
+        ctx.flush(sh.rootOff + offsetof(EchoRoot, nextTs), 8);
+        ctx.fence(FenceKind::Ordering);
+
+        // Log-then-apply, a one-update batch in run()'s terms.
+        const Addr slot_off =
+            logOff(sh, 0, sh.logCursor++ % kLogEntriesPerClient);
+        LogEntry ent{key, value, ts, 0};
+        ctx.ntStore(slot_off, &ent, sizeof(ent), DataClass::Log);
+        ctx.fence(FenceKind::Ordering);
+        applyUpdate(ctx, sh, key, value, ts);
+        const std::uint64_t one = 1;
+        auto *slot = ctx.pool().at<LogEntry>(slot_off);
+        ctx.storeField(slot->applied, one, DataClass::Log);
+        ctx.flush(slot_off + offsetof(LogEntry, applied), 8);
+        ctx.fence(FenceKind::Durability);
+    }
+
+    bool
+    workloadRmw(pm::PmContext &ctx, ThreadId tid, std::uint64_t key,
+                std::uint64_t delta) override
+    {
+        const Addr ent = findEntry(ctx, shards_[tid], key);
+        std::uint64_t value = 0;
+        bool found = false;
+        if (ent != kNullAddr) {
+            Addr voff = 0;
+            ctx.load(ent + offsetof(Entry, versions), &voff, 8);
+            if (voff != kNullAddr) {
+                ctx.load(voff + offsetof(Version, value), &value, 8);
+                found = true;
+            }
+        }
+        workloadPut(ctx, tid, key, value + delta);
+        return found;
+    }
+
+    std::uint64_t
+    workloadScan(pm::PmContext &ctx, ThreadId tid, std::uint64_t key,
+                 std::uint64_t len) override
+    {
+        stage(ctx, key);
+        std::uint64_t found = 0;
+        for (std::uint64_t j = 0; j < len; j++)
+            if (readLatest(ctx, shards_[tid],
+                           keymap_.scanKey(tid, key, j)))
+                found++;
+        return found;
     }
 
   protected:
@@ -325,157 +332,100 @@ class EchoApp : public WhisperApp
     scrubLayer(Runtime &rt, std::vector<LineAddr> &lines,
                VerifyReport &rep) override
     {
-        pm::PmContext &ctx = rt.ctx(0);
-        const Addr logs_end =
-            logsOff_ + static_cast<Addr>(config_.threads) *
-                           kLogEntriesPerClient * sizeof(LogEntry);
-        std::vector<LineAddr> root_lines, log_lines, heap_lines, rest;
-        for (const LineAddr line : lines) {
-            const Addr off = static_cast<Addr>(line) << kCacheLineBits;
-            if (off < rootOff_ + sizeof(EchoRoot))
-                root_lines.push_back(line);
-            else if (off >= logsOff_ && off < logs_end)
-                log_lines.push_back(line);
-            else if (off >= heapOff_ &&
-                     off < heapOff_ + heap_->heapSize())
-                heap_lines.push_back(line);
-            else
-                rest.push_back(line);
-        }
-
-        // Root lines: every word is the magic, the timestamp or a
-        // bucket head. Re-null the heads (their chains are gone) and
-        // restore the magic; nextTs is recomputed from the walk below.
-        bool ts_lost = false;
-        for (const LineAddr line : root_lines) {
-            const Addr lo = static_cast<Addr>(line) << kCacheLineBits;
-            const Addr hi = std::min<Addr>(
-                lo + kCacheLineSize, rootOff_ + sizeof(EchoRoot));
-            for (Addr w = lo; w < hi; w += 8) {
-                if (w == rootOff_ + offsetof(EchoRoot, magic)) {
-                    const std::uint64_t magic = EchoRoot::kMagic;
-                    ctx.store(w, &magic, 8, DataClass::User);
-                } else if (w ==
-                           rootOff_ + offsetof(EchoRoot, nextTs)) {
-                    ts_lost = true;
-                } else {
-                    const Addr null = kNullAddr;
-                    ctx.store(w, &null, 8, DataClass::User);
-                }
-            }
-            ctx.persist(lo, hi - lo);
-        }
-
-        // Chain truncation: a node is lost when any of its lines was
-        // poisoned or its address no longer lands inside the heap
-        // (the referrer's pointer word itself was zeroed).
-        const auto node_lost = [&](Addr off, std::size_t n) {
-            if (off < heapOff_ + sizeof(alloc::BuddyHeader) ||
-                off + n > heapOff_ + heap_->heapSize())
-                return true;
-            for (LineAddr l = lineOf(off); l <= lineOf(off + n - 1);
-                 l++) {
-                if (std::find(heap_lines.begin(), heap_lines.end(),
-                              l) != heap_lines.end())
-                    return true;
-            }
-            return false;
-        };
-        const auto cut = [&](Addr slot) {
-            const Addr null = kNullAddr;
-            ctx.store(slot, &null, 8, DataClass::User);
-            ctx.persist(slot, 8);
-        };
-        std::uint64_t chains_cut = 0;
-        std::uint64_t max_ts = 0;
-        for (std::uint64_t b = 0; b < kBuckets; b++) {
-            Addr slot = rootOff_ + offsetof(EchoRoot, buckets) +
-                        b * sizeof(Bucket);
-            Addr cur = 0;
-            ctx.load(slot, &cur, 8);
-            while (cur != kNullAddr) {
-                if (node_lost(cur, sizeof(Entry))) {
-                    cut(slot);
-                    chains_cut++;
-                    break;
-                }
-                const Entry *ent = ctx.pool().at<Entry>(cur);
-                Addr vslot = cur + offsetof(Entry, versions);
-                Addr v = ent->versions;
-                while (v != kNullAddr) {
-                    if (node_lost(v, sizeof(Version))) {
-                        cut(vslot);
-                        chains_cut++;
-                        break;
-                    }
-                    const Version *ver =
-                        ctx.pool().at<Version>(v);
-                    max_ts = std::max(max_ts, ver->ts);
-                    vslot = v + offsetof(Version, next);
-                    v = ver->next;
-                }
-                slot = cur + offsetof(Entry, next);
-                cur = ent->next;
-            }
-        }
-        if (ts_lost) {
-            const std::uint64_t next_ts = max_ts + 1;
-            ctx.store(rootOff_ + offsetof(EchoRoot, nextTs), &next_ts,
-                      8, DataClass::User);
-            ctx.persist(rootOff_ + offsetof(EchoRoot, nextTs), 8);
-        }
-
-        if (!root_lines.empty()) {
-            rep.degrade("echo-root-lost",
-                        "bucket heads re-nulled on zero-filled root "
-                        "lines; their chains are unreachable",
-                        root_lines);
-        }
-        if (chains_cut > 0) {
-            rep.degrade("echo-chain-lost",
-                        std::to_string(chains_cut) +
-                            " entry/version chain(s) truncated at "
-                            "media-lost nodes",
-                        heap_lines);
-        }
-        if (!log_lines.empty()) {
-            // A zeroed LogEntry reads ts == 0 and recovery skips the
-            // slot; the batch it held can no longer be re-applied.
-            rep.degrade("echo-log-lost",
-                        "client log slots zero-filled; their batches "
-                        "cannot be re-applied",
-                        log_lines);
-        }
-        lines = std::move(rest);
+        for (const Shard &sh : shards_)
+            scrubShard(rt.ctx(0), sh, lines, rep);
     }
 
   private:
-    Addr
-    logOff(unsigned client, std::uint64_t slot) const
+    /**
+     * One store: [root][client logs, @c lanes x kLogEntriesPerClient
+     * slots][buddy heap], plus the volatile log cursor of a workload
+     * shard's single client.
+     */
+    struct Shard
     {
-        return logsOff_ +
+        Addr rootOff = 0;
+        Addr logsOff = 0;
+        Addr heapOff = 0;
+        unsigned lanes = 0;
+        std::uint64_t logCursor = 0;
+        std::unique_ptr<alloc::BuddyAllocator> heap;
+    };
+
+    /** Format an empty store with @p lanes client logs over
+     *  [@p base, @p end). */
+    void
+    format(pm::PmContext &ctx, Addr base, Addr end, unsigned lanes)
+    {
+        Shard sh;
+        sh.rootOff = base;
+        sh.lanes = lanes;
+        sh.logsOff = lineBase(base + sizeof(EchoRoot) + kCacheLineSize);
+        const std::size_t logs_bytes =
+            lanes * kLogEntriesPerClient * sizeof(LogEntry);
+        sh.heapOff =
+            lineBase(sh.logsOff + logs_bytes + kCacheLineSize);
+        sh.heap = std::make_unique<alloc::BuddyAllocator>(
+            ctx, sh.heapOff, end - sh.heapOff);
+
+        EchoRoot root{};
+        root.magic = EchoRoot::kMagic;
+        root.nextTs = 1;
+        for (auto &bucket : root.buckets)
+            bucket.head = kNullAddr;
+        ctx.store(base, &root, sizeof(root), DataClass::User);
+        ctx.flush(base, sizeof(root));
+
+        LogEntry empty{0, 0, 0, 1};
+        for (std::uint64_t i = 0; i < lanes * kLogEntriesPerClient;
+             i++) {
+            ctx.store(sh.logsOff + i * sizeof(LogEntry), &empty,
+                      sizeof(empty), DataClass::Log);
+        }
+        ctx.flush(sh.logsOff, logs_bytes);
+        ctx.fence(FenceKind::Durability);
+        shards_.push_back(std::move(sh));
+    }
+
+    /** Client-side batching/serialization per op (paper Fig. 6: Echo
+     *  is ~5.5% PM accesses). */
+    static void
+    pad(pm::PmContext &ctx, const void *base)
+    {
+        ctx.vBurst(base, 1 << 16, 160, 70);
+        ctx.compute(3200);
+    }
+
+    /** A generated op's client-side staging, run()'s per-op shape:
+     *  one local-store write, six local reads, then pad(). */
+    static void
+    stage(pm::PmContext &ctx, std::uint64_t key)
+    {
+        ctx.vStore(&key, 8);
+        for (int r = 0; r < 6; r++)
+            ctx.vLoad(&key, 8);
+        pad(ctx, &key);
+    }
+
+    static Addr
+    logOff(const Shard &sh, unsigned client, std::uint64_t slot)
+    {
+        return sh.logsOff +
                (static_cast<Addr>(client) * kLogEntriesPerClient +
                 slot) * sizeof(LogEntry);
     }
 
-    EchoRoot *root(pm::PmContext &ctx) { return ctx.pool().at<EchoRoot>(
-        rootOff_); }
+    static EchoRoot *
+    root(pm::PmContext &ctx, const Shard &sh)
+    {
+        return ctx.pool().at<EchoRoot>(sh.rootOff);
+    }
 
     /** Find (or create) the Entry for @p key; master lock held. */
     Addr
-    findOrCreateEntry(Runtime &rt, pm::PmContext &ctx,
-                      std::uint64_t key)
+    findOrCreateEntry(pm::PmContext &ctx, Shard &sh, std::uint64_t key)
     {
-        (void)rt;
-        return findOrCreateEntryAt(ctx, *heap_, rootOff_, key);
-    }
-
-    Addr
-    findOrCreateEntryAt(pm::PmContext &ctx,
-                        alloc::BuddyAllocator &heap, Addr root_off,
-                        std::uint64_t key)
-    {
-        EchoRoot *r = ctx.pool().at<EchoRoot>(root_off);
+        EchoRoot *r = root(ctx, sh);
         Bucket &bucket = r->buckets[hashKey(key) % kBuckets];
         Addr cur = ctx.loadField(bucket.head);
         while (cur != kNullAddr) {
@@ -487,7 +437,7 @@ class EchoApp : public WhisperApp
         // Create: buddy alloc (VOLATILE) -> init with descriptor
         // INPROGRESS -> link -> CREATED -> PERSISTENT. The status
         // double-write on one line is the paper's Echo self-dep.
-        const Addr off = heap.alloc(ctx, sizeof(Entry));
+        const Addr off = sh.heap->alloc(ctx, sizeof(Entry));
         panic_if(off == kNullAddr, "echo heap exhausted");
         Entry ent{key, kInProgress, kNullAddr,
                   ctx.loadField(bucket.head)};
@@ -502,16 +452,15 @@ class EchoApp : public WhisperApp
         ctx.storeField(pent->status, created, DataClass::User);
         ctx.flush(off + offsetof(Entry, status), 8);
         ctx.fence(FenceKind::Ordering);
-        heap.setState(ctx, off, alloc::BlockState::Persistent);
+        sh.heap->setState(ctx, off, alloc::BlockState::Persistent);
         return off;
     }
 
     /** Read-only bucket walk: Entry for @p key or kNullAddr. */
     Addr
-    findEntryAt(pm::PmContext &ctx, Addr root_off, std::uint64_t key)
+    findEntry(pm::PmContext &ctx, const Shard &sh, std::uint64_t key)
     {
-        const EchoRoot *r = ctx.pool().at<EchoRoot>(root_off);
-        Addr cur = r->buckets[hashKey(key) % kBuckets].head;
+        Addr cur = root(ctx, sh)->buckets[hashKey(key) % kBuckets].head;
         while (cur != kNullAddr) {
             std::uint64_t probe = 0;
             ctx.load(cur + offsetof(Entry, key), &probe, 8);
@@ -522,22 +471,29 @@ class EchoApp : public WhisperApp
         return kNullAddr;
     }
 
-    void
-    applyUpdate(Runtime &rt, pm::PmContext &ctx, std::uint64_t key,
-                std::uint64_t value, std::uint64_t ts)
+    /** Read @p key's newest version; returns whether @p key exists. */
+    bool
+    readLatest(pm::PmContext &ctx, const Shard &sh, std::uint64_t key)
     {
-        (void)rt;
-        applyUpdateAt(ctx, *heap_, rootOff_, key, value, ts);
+        const Addr ent = findEntry(ctx, sh, key);
+        if (ent == kNullAddr)
+            return false;
+        Addr voff = 0;
+        ctx.load(ent + offsetof(Entry, versions), &voff, 8);
+        if (voff != kNullAddr) {
+            Version ver{};
+            ctx.load(voff, &ver, sizeof(ver));
+        }
+        return true;
     }
 
+    /** Publish @p value as @p key's newest version (timestamp @p ts). */
     void
-    applyUpdateAt(pm::PmContext &ctx, alloc::BuddyAllocator &heap,
-                  Addr root_off, std::uint64_t key,
-                  std::uint64_t value, std::uint64_t ts)
+    applyUpdate(pm::PmContext &ctx, Shard &sh, std::uint64_t key,
+                std::uint64_t value, std::uint64_t ts)
     {
-        const Addr entry_off =
-            findOrCreateEntryAt(ctx, heap, root_off, key);
-        const Addr voff = heap.alloc(ctx, sizeof(Version));
+        const Addr entry_off = findOrCreateEntry(ctx, sh, key);
+        const Addr voff = sh.heap->alloc(ctx, sizeof(Version));
         panic_if(voff == kNullAddr, "echo heap exhausted");
         Entry *ent = ctx.pool().at<Entry>(entry_off);
         Version ver{value, ts, value ^ ts ^ key,
@@ -549,16 +505,14 @@ class EchoApp : public WhisperApp
         ctx.storeField(ent->versions, voff, DataClass::User);
         ctx.flush(entry_off + offsetof(Entry, versions), 8);
         ctx.fence(FenceKind::Ordering);
-        heap.setState(ctx, voff, alloc::BlockState::Persistent);
+        sh.heap->setState(ctx, voff, alloc::BlockState::Persistent);
     }
 
     bool
-    versionExists(Runtime &rt, pm::PmContext &ctx, std::uint64_t key,
+    versionExists(pm::PmContext &ctx, const Shard &sh, std::uint64_t key,
                   std::uint64_t ts)
     {
-        (void)rt;
-        EchoRoot *r = root(ctx);
-        Addr cur = r->buckets[hashKey(key) % kBuckets].head;
+        Addr cur = root(ctx, sh)->buckets[hashKey(key) % kBuckets].head;
         while (cur != kNullAddr) {
             Entry *ent = ctx.pool().at<Entry>(cur);
             if (ent->key == key) {
@@ -578,55 +532,116 @@ class EchoApp : public WhisperApp
 
     void
     submitBatch(
-        Runtime &rt, pm::PmContext &ctx, ThreadId tid,
+        pm::PmContext &ctx, Shard &sh, ThreadId tid,
         const std::vector<std::pair<std::uint64_t, std::uint64_t>> &ops)
     {
         std::lock_guard<std::mutex> guard(masterLock_);
         const TxId tx = ctx.txBegin();
 
-        EchoRoot *r = root(ctx);
+        EchoRoot *r = root(ctx, sh);
         const std::uint64_t ts = ctx.loadField(r->nextTs);
         const std::uint64_t next_ts = ts + 1;
         // Global timestamp bump: a shared persistent variable written
         // by every client — the cross-dependency source.
         ctx.storeField(r->nextTs, next_ts, DataClass::User);
-        ctx.flush(offsetof(EchoRoot, nextTs), 8);
+        ctx.flush(sh.rootOff + offsetof(EchoRoot, nextTs), 8);
         ctx.fence(FenceKind::Ordering);
 
         // 1. Persist the batch into this client's log slots.
         for (std::size_t i = 0; i < ops.size(); i++) {
             LogEntry ent{ops[i].first, ops[i].second, ts, 0};
-            ctx.ntStore(logOff(tid, i), &ent, sizeof(ent),
+            ctx.ntStore(logOff(sh, tid, i), &ent, sizeof(ent),
                         DataClass::Log);
         }
         ctx.fence(FenceKind::Ordering);
 
         // 2. Master applies each update to the persistent KVS.
         for (const auto &[key, value] : ops)
-            applyUpdate(rt, ctx, key, value, ts);
+            applyUpdate(ctx, sh, key, value, ts);
 
         // 3. Mark the log entries applied (one epoch for the batch).
         for (std::size_t i = 0; i < ops.size(); i++) {
             const std::uint64_t one = 1;
-            auto *ent = ctx.pool().at<LogEntry>(logOff(tid, i));
+            auto *ent = ctx.pool().at<LogEntry>(logOff(sh, tid, i));
             ctx.storeField(ent->applied, one, DataClass::Log);
-            ctx.flush(logOff(tid, i) + offsetof(LogEntry, applied), 8);
+            ctx.flush(logOff(sh, tid, i) + offsetof(LogEntry, applied),
+                      8);
         }
         ctx.fence(FenceKind::Durability);
         ctx.txEnd(tx);
     }
 
-    /** Structural + checksum walk over the whole persistent store. */
-    bool
-    checkStore(Runtime &rt, std::string *why)
+    void
+    recoverShard(pm::PmContext &ctx, Shard &sh)
     {
-        return checkStoreAt(rt.ctx(0), rootOff_, why);
+        // Before the heap reclaims VOLATILE blocks, unlink anything
+        // the crash left half-published: entries whose descriptor
+        // never reached CREATED (or whose block never reached
+        // PERSISTENT) and version-chain heads still VOLATILE.
+        EchoRoot *r = root(ctx, sh);
+        for (std::uint64_t b = 0; b < kBuckets; b++) {
+            Bucket &bucket = r->buckets[b];
+            // Prune the chain head while it is unfinished.
+            while (bucket.head != kNullAddr) {
+                Entry *ent = ctx.pool().at<Entry>(bucket.head);
+                if (ent->status == kCreated &&
+                    sh.heap->state(ctx, bucket.head) ==
+                        alloc::BlockState::Persistent) {
+                    break;
+                }
+                ctx.storeField(bucket.head, ent->next, DataClass::User);
+                ctx.flush(ctx.pool().offsetOf(&bucket.head), 8);
+                ctx.fence(FenceKind::Ordering);
+            }
+            // Interior entries were linked before any newer head, so
+            // only the head can be unfinished; still scan versions.
+            for (Addr cur = bucket.head; cur != kNullAddr;) {
+                Entry *ent = ctx.pool().at<Entry>(cur);
+                while (ent->versions != kNullAddr &&
+                       sh.heap->state(ctx, ent->versions) !=
+                           alloc::BlockState::Persistent) {
+                    const Version *ver =
+                        ctx.pool().at<Version>(ent->versions);
+                    ctx.storeField(ent->versions, ver->next,
+                                   DataClass::User);
+                    ctx.flush(cur + offsetof(Entry, versions), 8);
+                    ctx.fence(FenceKind::Ordering);
+                }
+                cur = ent->next;
+            }
+        }
+        sh.heap->recover(ctx);
+        // Re-apply any batch whose log entries were durable but not
+        // yet marked applied (idempotent thanks to the version ts).
+        for (unsigned client = 0; client < sh.lanes; client++) {
+            for (std::uint64_t slot = 0; slot < kLogEntriesPerClient;
+                 slot++) {
+                const Addr off = logOff(sh, client, slot);
+                LogEntry ent{};
+                ctx.load(off, &ent, sizeof(ent));
+                if (ent.applied || ent.ts == 0)
+                    continue;
+                if (ent.key ^ ent.value ^ ent.ts) {
+                    // Entry is well-formed only if a matching version
+                    // is absent; apply then mark.
+                    if (!versionExists(ctx, sh, ent.key, ent.ts))
+                        applyUpdate(ctx, sh, ent.key, ent.value,
+                                    ent.ts);
+                }
+                const std::uint64_t one = 1;
+                auto *slot_ent = ctx.pool().at<LogEntry>(off);
+                ctx.storeField(slot_ent->applied, one, DataClass::Log);
+                ctx.flush(off + offsetof(LogEntry, applied), 8);
+                ctx.fence(FenceKind::Ordering);
+            }
+        }
     }
 
+    /** Structural + checksum walk over one whole store. */
     bool
-    checkStoreAt(pm::PmContext &ctx, Addr root_off, std::string *why)
+    checkStore(pm::PmContext &ctx, const Shard &sh, std::string *why)
     {
-        EchoRoot *r = ctx.pool().at<EchoRoot>(root_off);
+        const EchoRoot *r = root(ctx, sh);
         if (r->magic != EchoRoot::kMagic) {
             if (why)
                 *why = "bad root magic";
@@ -676,194 +691,139 @@ class EchoApp : public WhisperApp
         return true;
     }
 
-    // ---- Unified workload driver surface ------------------------------
-    //
-    // Echo's client/master split maps naturally onto partitioned
-    // workload threads: each thread is a client *and* the master for
-    // its own key range, with a private root, client log, and buddy
-    // heap over a disjoint pool slice. Every put keeps Echo's
-    // log-then-apply shape (persist the update into a log slot, apply
-    // it as a new version, mark the slot applied), so the access mix
-    // matches run()'s single-update granularity.
-
-    /** Client-side staging work, matching run()'s per-op shape. */
+    /** scrubLayer() for one shard: claims (and erases from @p lines)
+     *  every line of the shard's root, logs and heap. */
     void
-    wlPad(pm::PmContext &ctx, std::uint64_t key)
+    scrubShard(pm::PmContext &ctx, const Shard &sh,
+               std::vector<LineAddr> &lines, VerifyReport &rep)
     {
-        std::uint64_t probe = key;
-        ctx.vStore(&probe, 8);
-        for (int r = 0; r < 6; r++)
-            ctx.vLoad(&probe, 8);
-        ctx.vBurst(&probe, 1 << 16, 160, 70);
-        ctx.compute(3200);
-    }
-
-  public:
-    bool supportsWorkload() const override { return true; }
-
-    void
-    workloadSetup(Runtime &rt, const core::WorkloadKeymap &map) override
-    {
-        wlMap_ = map;
-        wlShards_.clear();
-        wlShards_.resize(map.threads);
-        const Addr region = lineBase(config_.poolBytes / map.threads);
-        const Addr logs_bytes =
-            kLogEntriesPerClient * sizeof(LogEntry);
-        panic_if(region <= sizeof(EchoRoot) + logs_bytes + (4u << 20),
-                 "echo workload: pool too small for %u shards",
-                 map.threads);
-        for (unsigned t = 0; t < map.threads; t++) {
-            pm::PmContext &ctx = rt.ctx(t);
-            WlShard &sh = wlShards_[t];
-            sh.rootOff = static_cast<Addr>(t) * region;
-            sh.logsOff =
-                lineBase(sh.rootOff + sizeof(EchoRoot) + kCacheLineSize);
-            const Addr heap_off =
-                lineBase(sh.logsOff + logs_bytes + kCacheLineSize);
-            sh.heap = std::make_unique<alloc::BuddyAllocator>(
-                ctx, heap_off, sh.rootOff + region - heap_off);
-
-            EchoRoot root{};
-            root.magic = EchoRoot::kMagic;
-            root.nextTs = 1;
-            for (auto &bucket : root.buckets)
-                bucket.head = kNullAddr;
-            ctx.store(sh.rootOff, &root, sizeof(root), DataClass::User);
-            ctx.flush(sh.rootOff, sizeof(root));
-            LogEntry empty{0, 0, 0, 1};
-            for (std::uint64_t i = 0; i < kLogEntriesPerClient; i++) {
-                ctx.store(sh.logsOff + i * sizeof(LogEntry), &empty,
-                          sizeof(empty), DataClass::Log);
-            }
-            ctx.flush(sh.logsOff, logs_bytes);
-            ctx.fence(FenceKind::Durability);
-
-            for (std::uint64_t i = 0; i < map.perThread(); i++) {
-                const std::uint64_t key = map.lo(t) + i;
-                applyUpdateAt(ctx, *sh.heap, sh.rootOff, key,
-                              key * 0x9e3779b97f4a7c15ull, 1);
-            }
+        const Addr root_off = sh.rootOff;
+        const Addr heap_off = sh.heapOff;
+        const Addr heap_end = heap_off + sh.heap->heapSize();
+        const Addr logs_end = logOff(sh, sh.lanes, 0);
+        std::vector<LineAddr> root_lines, log_lines, heap_lines, rest;
+        for (const LineAddr line : lines) {
+            const Addr off = static_cast<Addr>(line) << kCacheLineBits;
+            if (off < root_off + sizeof(EchoRoot))
+                root_lines.push_back(line);
+            else if (off >= sh.logsOff && off < logs_end)
+                log_lines.push_back(line);
+            else if (off >= heap_off &&
+                     off < heap_end)
+                heap_lines.push_back(line);
+            else
+                rest.push_back(line);
         }
-    }
 
-    bool
-    workloadGet(pm::PmContext &ctx, ThreadId tid,
-                std::uint64_t key) override
-    {
-        WlShard &sh = wlShards_[tid];
-        wlPad(ctx, key);
-        const Addr ent = findEntryAt(ctx, sh.rootOff, key);
-        if (ent == kNullAddr)
+        // Root lines: every word is the magic, the timestamp or a
+        // bucket head. Re-null the heads (their chains are gone) and
+        // restore the magic; nextTs is recomputed from the walk below.
+        bool ts_lost = false;
+        for (const LineAddr line : root_lines) {
+            const Addr lo = static_cast<Addr>(line) << kCacheLineBits;
+            const Addr hi = std::min<Addr>(
+                lo + kCacheLineSize, root_off + sizeof(EchoRoot));
+            for (Addr w = lo; w < hi; w += 8) {
+                if (w == root_off + offsetof(EchoRoot, magic)) {
+                    const std::uint64_t magic = EchoRoot::kMagic;
+                    ctx.store(w, &magic, 8, DataClass::User);
+                } else if (w ==
+                           root_off + offsetof(EchoRoot, nextTs)) {
+                    ts_lost = true;
+                } else {
+                    const Addr null = kNullAddr;
+                    ctx.store(w, &null, 8, DataClass::User);
+                }
+            }
+            ctx.persist(lo, hi - lo);
+        }
+
+        // Chain truncation: a node is lost when any of its lines was
+        // poisoned or its address no longer lands inside the heap
+        // (the referrer's pointer word itself was zeroed).
+        const auto node_lost = [&](Addr off, std::size_t n) {
+            if (off < heap_off + sizeof(alloc::BuddyHeader) ||
+                off + n > heap_end)
+                return true;
+            for (LineAddr l = lineOf(off); l <= lineOf(off + n - 1);
+                 l++) {
+                if (std::find(heap_lines.begin(), heap_lines.end(),
+                              l) != heap_lines.end())
+                    return true;
+            }
             return false;
-        Addr voff = 0;
-        ctx.load(ent + offsetof(Entry, versions), &voff, 8);
-        if (voff != kNullAddr) {
-            Version ver{};
-            ctx.load(voff, &ver, sizeof(ver));
-        }
-        return true;
-    }
-
-    void
-    workloadPut(pm::PmContext &ctx, ThreadId tid, std::uint64_t key,
-                std::uint64_t value) override
-    {
-        WlShard &sh = wlShards_[tid];
-        wlPad(ctx, key);
-        EchoRoot *r = ctx.pool().at<EchoRoot>(sh.rootOff);
-        const std::uint64_t ts = ctx.loadField(r->nextTs);
-        ctx.storeField(r->nextTs, ts + 1, DataClass::User);
-        ctx.flush(sh.rootOff + offsetof(EchoRoot, nextTs), 8);
-        ctx.fence(FenceKind::Ordering);
-
-        // Log-then-apply, a one-update batch in run()'s terms.
-        const Addr slot_off =
-            sh.logsOff + (sh.logCursor++ % kLogEntriesPerClient) *
-                             sizeof(LogEntry);
-        LogEntry ent{key, value, ts, 0};
-        ctx.ntStore(slot_off, &ent, sizeof(ent), DataClass::Log);
-        ctx.fence(FenceKind::Ordering);
-        applyUpdateAt(ctx, *sh.heap, sh.rootOff, key, value, ts);
-        const std::uint64_t one = 1;
-        auto *slot = ctx.pool().at<LogEntry>(slot_off);
-        ctx.storeField(slot->applied, one, DataClass::Log);
-        ctx.flush(slot_off + offsetof(LogEntry, applied), 8);
-        ctx.fence(FenceKind::Durability);
-    }
-
-    bool
-    workloadRmw(pm::PmContext &ctx, ThreadId tid, std::uint64_t key,
-                std::uint64_t delta) override
-    {
-        WlShard &sh = wlShards_[tid];
-        const Addr ent = findEntryAt(ctx, sh.rootOff, key);
-        std::uint64_t value = 0;
-        bool found = false;
-        if (ent != kNullAddr) {
-            Addr voff = 0;
-            ctx.load(ent + offsetof(Entry, versions), &voff, 8);
-            if (voff != kNullAddr) {
-                ctx.load(voff + offsetof(Version, value), &value, 8);
-                found = true;
+        };
+        const auto cut = [&](Addr slot) {
+            const Addr null = kNullAddr;
+            ctx.store(slot, &null, 8, DataClass::User);
+            ctx.persist(slot, 8);
+        };
+        std::uint64_t chains_cut = 0;
+        std::uint64_t max_ts = 0;
+        for (std::uint64_t b = 0; b < kBuckets; b++) {
+            Addr slot = root_off + offsetof(EchoRoot, buckets) +
+                        b * sizeof(Bucket);
+            Addr cur = 0;
+            ctx.load(slot, &cur, 8);
+            while (cur != kNullAddr) {
+                if (node_lost(cur, sizeof(Entry))) {
+                    cut(slot);
+                    chains_cut++;
+                    break;
+                }
+                const Entry *ent = ctx.pool().at<Entry>(cur);
+                Addr vslot = cur + offsetof(Entry, versions);
+                Addr v = ent->versions;
+                while (v != kNullAddr) {
+                    if (node_lost(v, sizeof(Version))) {
+                        cut(vslot);
+                        chains_cut++;
+                        break;
+                    }
+                    const Version *ver =
+                        ctx.pool().at<Version>(v);
+                    max_ts = std::max(max_ts, ver->ts);
+                    vslot = v + offsetof(Version, next);
+                    v = ver->next;
+                }
+                slot = cur + offsetof(Entry, next);
+                cur = ent->next;
             }
         }
-        workloadPut(ctx, tid, key, value + delta);
-        return found;
-    }
-
-    std::uint64_t
-    workloadScan(pm::PmContext &ctx, ThreadId tid, std::uint64_t key,
-                 std::uint64_t len) override
-    {
-        WlShard &sh = wlShards_[tid];
-        wlPad(ctx, key);
-        std::uint64_t found = 0;
-        for (std::uint64_t j = 0; j < len; j++) {
-            const Addr ent = findEntryAt(
-                ctx, sh.rootOff, wlMap_.scanKey(tid, key, j));
-            if (ent == kNullAddr)
-                continue;
-            Addr voff = 0;
-            ctx.load(ent + offsetof(Entry, versions), &voff, 8);
-            if (voff != kNullAddr) {
-                Version ver{};
-                ctx.load(voff, &ver, sizeof(ver));
-            }
-            found++;
+        if (ts_lost) {
+            const std::uint64_t next_ts = max_ts + 1;
+            ctx.store(root_off + offsetof(EchoRoot, nextTs), &next_ts,
+                      8, DataClass::User);
+            ctx.persist(root_off + offsetof(EchoRoot, nextTs), 8);
         }
-        return found;
-    }
 
-    VerifyReport
-    workloadCheck(Runtime &rt) override
-    {
-        VerifyReport rep = report();
-        for (unsigned t = 0; t < wlMap_.threads; t++) {
-            std::string why;
-            rep.check(checkStoreAt(rt.ctx(t), wlShards_[t].rootOff,
-                                   &why),
-                      "store-intact", why);
+        if (!root_lines.empty()) {
+            rep.degrade("echo-root-lost",
+                        "bucket heads re-nulled on zero-filled root "
+                        "lines; their chains are unreachable",
+                        root_lines);
         }
-        return rep;
+        if (chains_cut > 0) {
+            rep.degrade("echo-chain-lost",
+                        std::to_string(chains_cut) +
+                            " entry/version chain(s) truncated at "
+                            "media-lost nodes",
+                        heap_lines);
+        }
+        if (!log_lines.empty()) {
+            // A zeroed LogEntry reads ts == 0 and recovery skips the
+            // slot; the batch it held can no longer be re-applied.
+            rep.degrade("echo-log-lost",
+                        "client log slots zero-filled; their batches "
+                        "cannot be re-applied",
+                        log_lines);
+        }
+        lines = std::move(rest);
     }
 
-  private:
-    struct WlShard
-    {
-        Addr rootOff = 0;
-        Addr logsOff = 0;
-        std::uint64_t logCursor = 0;
-        std::unique_ptr<alloc::BuddyAllocator> heap;
-    };
-
-    Addr rootOff_ = 0;
-    Addr logsOff_ = 0;
-    Addr heapOff_ = 0;
-    std::unique_ptr<alloc::BuddyAllocator> heap_;
-    std::mutex masterLock_;
-    core::WorkloadKeymap wlMap_;
-    std::vector<WlShard> wlShards_;
+    std::vector<Shard> shards_;
+    std::mutex masterLock_; //!< run()'s clients share shards_[0]
+    core::WorkloadKeymap keymap_;
 };
 
 } // namespace

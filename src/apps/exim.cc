@@ -247,8 +247,6 @@ class EximApp : public WhisperApp
     }
 
   public:
-    bool supportsWorkload() const override { return true; }
-
     void
     workloadSetup(Runtime &rt, const core::WorkloadKeymap &map) override
     {

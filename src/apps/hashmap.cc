@@ -53,6 +53,9 @@ hashKey(std::uint64_t key)
     return key;
 }
 
+/** Result of HashmapApp::put(). */
+enum class PutResult { Updated, Inserted, Full };
+
 class HashmapApp : public WhisperApp
 {
   public:
@@ -64,39 +67,27 @@ class HashmapApp : public WhisperApp
     void
     setup(Runtime &rt) override
     {
-        pm::PmContext &ctx = rt.ctx(0);
-        rootOff_ = 0;
-        const Addr pool_base =
-            lineBase(sizeof(MapRoot) + kCacheLineSize);
-        pool_ = std::make_unique<nvml::NvmlPool>(
-            ctx, pool_base, config_.poolBytes - pool_base,
-            config_.threads);
-        MapRoot root{};
-        root.magic = MapRoot::kMagic;
-        for (auto &b : root.buckets)
-            b = kNullAddr;
-        ctx.store(rootOff_, &root, sizeof(root), DataClass::User);
-        ctx.flush(rootOff_, sizeof(root));
-        ctx.fence(FenceKind::Durability);
+        shards_.clear();
+        format(rt.ctx(0), 0, config_.poolBytes, config_.threads);
     }
 
     void
     run(Runtime &rt, pm::PmContext &ctx, ThreadId tid) override
     {
         (void)rt;
+        Shard &sh = shards_[0];
         Rng rng(config_.seed * 271 + tid);
         const std::uint64_t keyspace = config_.opsPerThread * 4 + 64;
         std::vector<std::uint64_t> inserted;
         inserted.reserve(config_.opsPerThread);
 
         for (std::uint64_t op = 0; op < config_.opsPerThread; op++) {
-            // Paper Fig. 6: hashmap is ~2.6% PM accesses.
-            ctx.vBurst(inserted.data(), 1 << 14, 560, 240);
-            ctx.compute(6500);
+            pad(ctx, inserted.data());
+            std::lock_guard<std::mutex> guard(runLock_);
             if (!inserted.empty() && rng.chance(0.1)) {
                 // REMOVE a previously inserted key.
                 const std::size_t idx = rng.next(inserted.size());
-                remove(ctx, inserted[idx]);
+                remove(ctx, sh, inserted[idx]);
                 inserted[idx] = inserted.back();
                 inserted.pop_back();
                 ctx.vStore(inserted.data() + idx, 8);
@@ -104,7 +95,7 @@ class HashmapApp : public WhisperApp
                 const std::uint64_t key =
                     (static_cast<std::uint64_t>(tid) << 48) |
                     rng.next(keyspace);
-                if (insert(ctx, key, rng())) {
+                if (put(ctx, sh, key, rng()) == PutResult::Inserted) {
                     inserted.push_back(key);
                     ctx.vStore(&inserted.back(), 8);
                 }
@@ -116,48 +107,45 @@ class HashmapApp : public WhisperApp
     verify(Runtime &rt) override
     {
         VerifyReport rep = report();
-        std::string why;
-        rep.check(checkMap(rt, &why), "map-intact", why);
+        for (const Shard &sh : shards_) {
+            std::string why;
+            rep.check(checkMap(rt.ctx(0), sh, &why), "map-intact", why);
+        }
         return rep;
     }
 
-    void recover(Runtime &rt) override { pool_->recover(rt.ctx(0)); }
-
-    VerifyReport
-    verifyRecovered(Runtime &rt) override
+    void
+    recover(Runtime &rt) override
     {
-        VerifyReport rep = report();
-        std::string why;
-        rep.check(checkMap(rt, &why), "map-intact", why);
-        return rep;
+        for (Shard &sh : shards_)
+            sh.pool->recover(rt.ctx(0));
     }
 
     VerifyReport
     checkRecoveryInvariants(Runtime &rt) override
     {
         VerifyReport rep = report();
-        std::string why;
-        rep.check(pool_->logsQuiescent(rt.ctx(0), &why),
-                  "logs-quiescent", why);
+        for (const Shard &sh : shards_) {
+            std::string why;
+            rep.check(sh.pool->logsQuiescent(rt.ctx(0), &why),
+                      "logs-quiescent", why);
+        }
         return rep;
     }
 
     /** @{ \name Generated-workload surface
      *
-     * One private NvmlPool + bucket array per worker thread over a
-     * disjoint slice of the device — the YCSB one-client-per-thread
-     * model. Partitioning keeps chain walks (and thus latencies)
-     * independent of scheduling; the undo-log discipline per op is
-     * identical to run()'s.
+     * One private map per worker thread over a disjoint slice of the
+     * device — the YCSB one-client-per-thread model. Partitioning
+     * keeps chain walks (and thus latencies) independent of
+     * scheduling; the undo-log discipline per op is run()'s.
      */
-
-    bool supportsWorkload() const override { return true; }
 
     void
     workloadSetup(Runtime &rt, const WorkloadKeymap &map) override
     {
-        wlMap_ = map;
-        wlShards_.clear();
+        keymap_ = map;
+        shards_.clear();
         scratch_.assign(config_.threads,
                         std::vector<std::uint64_t>(2048));
         const std::size_t region =
@@ -167,26 +155,12 @@ class HashmapApp : public WhisperApp
                  "shards");
         for (unsigned t = 0; t < map.threads; t++) {
             pm::PmContext &ctx = rt.ctx(t);
-            WlShard shard;
-            shard.rootOff = static_cast<Addr>(t) * region;
-            const Addr pool_base = lineBase(
-                shard.rootOff + sizeof(MapRoot) + kCacheLineSize);
-            shard.pool = std::make_unique<nvml::NvmlPool>(
-                ctx, pool_base,
-                shard.rootOff + region - pool_base, 1);
-            MapRoot root{};
-            root.magic = MapRoot::kMagic;
-            for (auto &b : root.buckets)
-                b = kNullAddr;
-            ctx.store(shard.rootOff, &root, sizeof(root),
-                      DataClass::User);
-            ctx.flush(shard.rootOff, sizeof(root));
-            ctx.fence(FenceKind::Durability);
-            wlShards_.push_back(std::move(shard));
+            const Addr base = static_cast<Addr>(t) * region;
+            format(ctx, base, base + region, 1);
             const ThreadId tid = static_cast<ThreadId>(t);
             for (std::uint64_t i = 0; i < map.perThread(); i++) {
                 const std::uint64_t key = map.lo(tid) + i;
-                wlPut(ctx, tid, key, key * 0x9e3779b97f4a7c15ull);
+                workloadStore(ctx, tid, key, key * 0x9e3779b97f4a7c15ull);
             }
         }
     }
@@ -195,37 +169,31 @@ class HashmapApp : public WhisperApp
     workloadGet(pm::PmContext &ctx, ThreadId tid,
                 std::uint64_t key) override
     {
-        pad(ctx, tid);
+        pad(ctx, scratch_[tid].data());
         std::uint64_t value = 0;
-        return wlFind(ctx, tid, key, value) != kNullAddr;
+        return find(ctx, shards_[tid], key, value) != kNullAddr;
     }
 
     void
     workloadPut(pm::PmContext &ctx, ThreadId tid, std::uint64_t key,
                 std::uint64_t value) override
     {
-        pad(ctx, tid);
-        wlPut(ctx, tid, key, value);
+        pad(ctx, scratch_[tid].data());
+        workloadStore(ctx, tid, key, value);
     }
 
     bool
     workloadRmw(pm::PmContext &ctx, ThreadId tid, std::uint64_t key,
                 std::uint64_t delta) override
     {
-        pad(ctx, tid);
+        pad(ctx, scratch_[tid].data());
         std::uint64_t value = 0;
-        const Addr off = wlFind(ctx, tid, key, value);
+        const Addr off = find(ctx, shards_[tid], key, value);
         if (off == kNullAddr) {
-            wlPut(ctx, tid, key, delta);
+            workloadStore(ctx, tid, key, delta);
             return false;
         }
-        nvml::TxContext tx(*wlShards_[tid].pool, ctx);
-        MapEntry *e = ctx.pool().at<MapEntry>(off);
-        const std::uint64_t nv = value + delta;
-        tx.set(e->value, nv, DataClass::User);
-        const std::uint64_t sum = key ^ nv ^ MapEntry::kSalt;
-        tx.set(e->checksum, sum, DataClass::User);
-        tx.commit();
+        setValue(ctx, shards_[tid], off, key, value + delta);
         return true;
     }
 
@@ -233,30 +201,14 @@ class HashmapApp : public WhisperApp
     workloadScan(pm::PmContext &ctx, ThreadId tid, std::uint64_t key,
                  std::uint64_t len) override
     {
-        pad(ctx, tid);
+        pad(ctx, scratch_[tid].data());
         std::uint64_t found = 0;
         std::uint64_t value = 0;
         for (std::uint64_t j = 0; j < len; j++)
-            if (wlFind(ctx, tid, wlMap_.scanKey(tid, key, j),
-                       value) != kNullAddr)
+            if (find(ctx, shards_[tid], keymap_.scanKey(tid, key, j),
+                     value) != kNullAddr)
                 found++;
         return found;
-    }
-
-    VerifyReport
-    workloadCheck(Runtime &rt) override
-    {
-        VerifyReport rep = report();
-        for (unsigned t = 0; t < wlShards_.size(); t++) {
-            std::string why;
-            rep.check(checkMapAt(rt, wlShards_[t].rootOff, &why),
-                      "map-intact",
-                      "shard " + std::to_string(t) + ": " + why);
-            rep.check(wlShards_[t].pool->logsQuiescent(rt.ctx(0),
-                                                       &why),
-                      "logs-quiescent", why);
-        }
-        return rep;
     }
 
     /** @} */
@@ -266,31 +218,55 @@ class HashmapApp : public WhisperApp
     scrubLayer(Runtime &rt, std::vector<LineAddr> &lines,
                VerifyReport &rep) override
     {
-        pool_->scrub(rt.ctx(0), lines, rep);
+        for (Shard &sh : shards_)
+            sh.pool->scrub(rt.ctx(0), lines, rep);
     }
 
   private:
-    /** Per-worker workload shard: private root + private pool. */
-    struct WlShard
+    /** One map: its root and the NvmlPool its entries live in. */
+    struct Shard
     {
         Addr rootOff = 0;
         std::unique_ptr<nvml::NvmlPool> pool;
     };
 
+    /**
+     * Format a map over [@p base, @p end): the root at @p base, then
+     * an NvmlPool with @p lanes undo-log lanes.
+     */
     void
-    pad(pm::PmContext &ctx, ThreadId tid)
+    format(pm::PmContext &ctx, Addr base, Addr end, unsigned lanes)
     {
-        ctx.vBurst(scratch_[tid].data(), 1 << 14, 560, 240);
+        Shard sh;
+        sh.rootOff = base;
+        const Addr pool_base =
+            lineBase(base + sizeof(MapRoot) + kCacheLineSize);
+        sh.pool = std::make_unique<nvml::NvmlPool>(
+            ctx, pool_base, end - pool_base, lanes);
+        MapRoot root{};
+        root.magic = MapRoot::kMagic;
+        for (auto &b : root.buckets)
+            b = kNullAddr;
+        ctx.store(base, &root, sizeof(root), DataClass::User);
+        ctx.flush(base, sizeof(root));
+        ctx.fence(FenceKind::Durability);
+        shards_.push_back(std::move(sh));
+    }
+
+    /** Client-side DRAM work per op (paper Fig. 6: ~2.6% PM). */
+    static void
+    pad(pm::PmContext &ctx, const void *base)
+    {
+        ctx.vBurst(base, 1 << 14, 560, 240);
         ctx.compute(6500);
     }
 
-    /** Chain walk in @p tid's shard; entry offset or kNullAddr. */
+    /** Chain walk; entry offset (value out) or kNullAddr. */
     Addr
-    wlFind(pm::PmContext &ctx, ThreadId tid, std::uint64_t key,
-           std::uint64_t &value)
+    find(pm::PmContext &ctx, const Shard &sh, std::uint64_t key,
+         std::uint64_t &value)
     {
-        const MapRoot *r =
-            ctx.pool().at<MapRoot>(wlShards_[tid].rootOff);
+        const MapRoot *r = ctx.pool().at<MapRoot>(sh.rootOff);
         Addr cur = r->buckets[hashKey(key) % kBuckets];
         while (cur != kNullAddr) {
             MapEntry probe{};
@@ -304,69 +280,37 @@ class HashmapApp : public WhisperApp
         return kNullAddr;
     }
 
-    /** Insert-or-update in @p tid's shard (run()'s insert(), minus
-     *  the shared-map lock the partitioning makes unnecessary). */
+    /** Transactional value overwrite of the entry at @p off. */
     void
-    wlPut(pm::PmContext &ctx, ThreadId tid, std::uint64_t key,
-          std::uint64_t value)
+    setValue(pm::PmContext &ctx, Shard &sh, Addr off, std::uint64_t key,
+             std::uint64_t value)
     {
-        WlShard &shard = wlShards_[tid];
-        MapRoot *r = ctx.pool().at<MapRoot>(shard.rootOff);
-        Addr &bucket = r->buckets[hashKey(key) % kBuckets];
-        std::uint64_t old = 0;
-        const Addr existing = wlFind(ctx, tid, key, old);
-        if (existing != kNullAddr) {
-            nvml::TxContext tx(*shard.pool, ctx);
-            MapEntry *e = ctx.pool().at<MapEntry>(existing);
-            tx.set(e->value, value, DataClass::User);
-            const std::uint64_t sum = key ^ value ^ MapEntry::kSalt;
-            tx.set(e->checksum, sum, DataClass::User);
-            tx.commit();
-            return;
-        }
-        nvml::TxContext tx(*shard.pool, ctx);
-        const Addr off = tx.txAlloc(sizeof(MapEntry));
-        panic_if(off == kNullAddr, "hashmap: workload shard full");
-        MapEntry e{key, value, key ^ value ^ MapEntry::kSalt, bucket};
-        tx.directStore(off, &e, sizeof(e), DataClass::User);
-        tx.set(bucket, off, DataClass::User);
-        const std::uint64_t n = r->count + 1;
-        tx.set(r->count, n, DataClass::User);
+        nvml::TxContext tx(*sh.pool, ctx);
+        MapEntry *e = ctx.pool().at<MapEntry>(off);
+        tx.set(e->value, value, DataClass::User);
+        const std::uint64_t sum = key ^ value ^ MapEntry::kSalt;
+        tx.set(e->checksum, sum, DataClass::User);
         tx.commit();
     }
 
-    MapRoot *root(pm::PmContext &ctx) { return ctx.pool().at<MapRoot>(
-        rootOff_); }
-
-    bool
-    insert(pm::PmContext &ctx, std::uint64_t key, std::uint64_t value)
+    /** Insert-or-update @p key in one undo-logged transaction. */
+    PutResult
+    put(pm::PmContext &ctx, Shard &sh, std::uint64_t key,
+        std::uint64_t value)
     {
-        std::lock_guard<std::mutex> guard(mapLock_);
-        MapRoot *r = root(ctx);
+        MapRoot *r = ctx.pool().at<MapRoot>(sh.rootOff);
         Addr &bucket = r->buckets[hashKey(key) % kBuckets];
-
-        // Existing key: transactional value overwrite.
-        for (Addr cur = bucket; cur != kNullAddr;) {
-            MapEntry probe{};
-            ctx.load(cur, &probe, sizeof(probe));
-            if (probe.key == key) {
-                nvml::TxContext tx(*pool_, ctx);
-                MapEntry *e = ctx.pool().at<MapEntry>(cur);
-                tx.set(e->value, value, DataClass::User);
-                const std::uint64_t sum =
-                    key ^ value ^ MapEntry::kSalt;
-                tx.set(e->checksum, sum, DataClass::User);
-                tx.commit();
-                return false;
-            }
-            cur = probe.next;
+        std::uint64_t old = 0;
+        const Addr existing = find(ctx, sh, key, old);
+        if (existing != kNullAddr) {
+            setValue(ctx, sh, existing, key, value);
+            return PutResult::Updated;
         }
-
-        nvml::TxContext tx(*pool_, ctx);
+        nvml::TxContext tx(*sh.pool, ctx);
         const Addr off = tx.txAlloc(sizeof(MapEntry));
         if (off == kNullAddr) {
             tx.abort();
-            return false;
+            return PutResult::Full;
         }
         MapEntry e{key, value, key ^ value ^ MapEntry::kSalt, bucket};
         tx.directStore(off, &e, sizeof(e), DataClass::User);
@@ -374,23 +318,31 @@ class HashmapApp : public WhisperApp
         const std::uint64_t n = r->count + 1;
         tx.set(r->count, n, DataClass::User);
         tx.commit();
-        return true;
+        return PutResult::Inserted;
+    }
+
+    /** put() into @p tid's workload shard, which must not fill. */
+    void
+    workloadStore(pm::PmContext &ctx, ThreadId tid, std::uint64_t key,
+                  std::uint64_t value)
+    {
+        panic_if(put(ctx, shards_[tid], key, value) == PutResult::Full,
+                 "hashmap: workload shard full");
     }
 
     void
-    remove(pm::PmContext &ctx, std::uint64_t key)
+    remove(pm::PmContext &ctx, Shard &sh, std::uint64_t key)
     {
-        std::lock_guard<std::mutex> guard(mapLock_);
-        MapRoot *r = root(ctx);
+        MapRoot *r = ctx.pool().at<MapRoot>(sh.rootOff);
         Addr holder =
-            rootOff_ + offsetof(MapRoot, buckets) +
+            sh.rootOff + offsetof(MapRoot, buckets) +
             (hashKey(key) % kBuckets) * sizeof(Addr);
         Addr cur = *ctx.pool().at<Addr>(holder);
         while (cur != kNullAddr) {
             MapEntry probe{};
             ctx.load(cur, &probe, sizeof(probe));
             if (probe.key == key) {
-                nvml::TxContext tx(*pool_, ctx);
+                nvml::TxContext tx(*sh.pool, ctx);
                 tx.addRange(holder, 8);
                 ctx.store(holder, &probe.next, 8, DataClass::User);
                 tx.txFree(cur);
@@ -405,16 +357,9 @@ class HashmapApp : public WhisperApp
     }
 
     bool
-    checkMap(Runtime &rt, std::string *why)
+    checkMap(pm::PmContext &ctx, const Shard &sh, std::string *why)
     {
-        return checkMapAt(rt, rootOff_, why);
-    }
-
-    bool
-    checkMapAt(Runtime &rt, Addr root_off, std::string *why)
-    {
-        pm::PmContext &ctx = rt.ctx(0);
-        MapRoot *r = ctx.pool().at<MapRoot>(root_off);
+        MapRoot *r = ctx.pool().at<MapRoot>(sh.rootOff);
         if (r->magic != MapRoot::kMagic) {
             if (why)
                 *why = "bad root magic";
@@ -454,11 +399,9 @@ class HashmapApp : public WhisperApp
         return true;
     }
 
-    std::unique_ptr<nvml::NvmlPool> pool_;
-    Addr rootOff_ = 0;
-    std::mutex mapLock_;
-    WorkloadKeymap wlMap_;
-    std::vector<WlShard> wlShards_;
+    std::vector<Shard> shards_;
+    std::mutex runLock_; //!< run()'s threads share shards_[0]
+    WorkloadKeymap keymap_;
     std::vector<std::vector<std::uint64_t>> scratch_;
 };
 

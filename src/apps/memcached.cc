@@ -88,50 +88,40 @@ class MemcachedApp : public WhisperApp
     setup(Runtime &rt) override
     {
         pm::PmContext &ctx = rt.ctx(0);
-        rootOff_ = 0;
-        const Addr heap_base =
-            lineBase(sizeof(CacheRoot) + kCacheLineSize);
-        heap_ = std::make_unique<mne::MnemosyneHeap>(
-            ctx, heap_base, config_.poolBytes - heap_base,
-            config_.threads);
-
-        CacheRoot root{};
-        root.magic = CacheRoot::kMagic;
-        root.capacity = std::max<std::uint64_t>(
-            1024, config_.opsPerThread / 2);
-        root.lruHead = root.lruTail = kNullAddr;
-        for (auto &b : root.buckets)
-            b = kNullAddr;
-        ctx.store(rootOff_, &root, sizeof(root), DataClass::User);
-        ctx.flush(rootOff_, sizeof(root));
-        ctx.fence(FenceKind::Durability);
+        shards_.clear();
+        const std::uint64_t capacity =
+            std::max<std::uint64_t>(1024, config_.opsPerThread / 2);
+        format(ctx, 0, config_.poolBytes, config_.threads, capacity);
 
         // Warm the cache to ~half capacity.
         Rng rng(config_.seed);
-        for (std::uint64_t i = 0; i < root.capacity / 2; i++)
-            setOp(ctx, rng.next(keySpace()), rng);
+        for (std::uint64_t i = 0; i < capacity / 2; i++) {
+            const std::uint64_t key = rng.next(keySpace());
+            std::uint8_t value[kValueBytes];
+            randomValue(rng, value);
+            set(ctx, shards_[0], key, value);
+        }
     }
 
     void
     run(Runtime &rt, pm::PmContext &ctx, ThreadId tid) override
     {
         (void)rt;
+        Shard &sh = shards_[0];
         Rng rng(config_.seed * 89 + tid);
         ZipfianGenerator zipf(keySpace());
         for (std::uint64_t op = 0; op < config_.opsPerThread; op++) {
             const std::uint64_t key = zipf.next(rng);
-            // Request parsing / response buffers: DRAM traffic.
-            char reqbuf[64];
-            std::snprintf(reqbuf, sizeof(reqbuf), "get k%llu",
-                          static_cast<unsigned long long>(key));
-            ctx.vStore(reqbuf, sizeof(reqbuf));
-            ctx.vLoad(reqbuf, 16);
-            ctx.vBurst(reqbuf, 1 << 13, 160, 70);
-            ctx.compute(5500);
-            if (rng.chance(0.05))
-                setOp(ctx, key, rng);
-            else
-                getOp(ctx, key);
+            pad(ctx, key);
+            if (rng.chance(0.05)) {
+                std::uint8_t value[kValueBytes];
+                randomValue(rng, value);
+                std::lock_guard<std::mutex> guard(runLock_);
+                set(ctx, sh, key, value);
+            } else {
+                std::lock_guard<std::mutex> guard(runLock_);
+                get(ctx, sh, key);
+            }
         }
     }
 
@@ -139,60 +129,215 @@ class MemcachedApp : public WhisperApp
     verify(Runtime &rt) override
     {
         VerifyReport rep = report();
-        std::string why;
-        rep.check(checkCache(rt, &why), "cache-intact", why);
+        for (const Shard &sh : shards_) {
+            std::string why;
+            rep.check(checkCache(rt.ctx(0), sh, &why), "cache-intact",
+                      why);
+        }
         return rep;
     }
 
-    void recover(Runtime &rt) override { heap_->recover(rt.ctx(0)); }
-
-    VerifyReport
-    verifyRecovered(Runtime &rt) override
+    void
+    recover(Runtime &rt) override
     {
-        VerifyReport rep = report();
-        std::string why;
-        rep.check(checkCache(rt, &why), "cache-intact", why);
-        return rep;
+        for (Shard &sh : shards_)
+            sh.heap->recover(rt.ctx(0));
     }
 
     VerifyReport
     checkRecoveryInvariants(Runtime &rt) override
     {
         VerifyReport rep = report();
-        std::string why;
-        rep.check(heap_->logsQuiescent(rt.ctx(0), &why),
-                  "logs-quiescent", why);
+        for (unsigned t = 0; t < shards_.size(); t++) {
+            std::string why;
+            rep.check(shards_[t].heap->logsQuiescent(rt.ctx(t), &why),
+                      "logs-quiescent", why);
+        }
         return rep;
     }
+
+    /** @{ \name Generated-workload surface
+     *
+     * Each workload thread gets its own cache shard over a disjoint
+     * pool slice, mirroring memcached deployments that run one worker
+     * per core with partitioned key ownership. The per-shard capacity
+     * exceeds the keymap's slot count so workload-owned keys are
+     * never evicted: a GET on a loaded or inserted key must always
+     * hit.
+     */
+
+    void
+    workloadSetup(Runtime &rt, const core::WorkloadKeymap &map) override
+    {
+        keymap_ = map;
+        shards_.clear();
+        const Addr region = lineBase(config_.poolBytes / map.threads);
+        panic_if(region <= sizeof(CacheRoot) + (2u << 20),
+                 "memcached workload: pool too small for %u shards",
+                 map.threads);
+        for (unsigned t = 0; t < map.threads; t++) {
+            pm::PmContext &ctx = rt.ctx(t);
+            const Addr base = static_cast<Addr>(t) * region;
+            format(ctx, base, base + region, 1,
+                   map.slotsPerThread() + 64);
+            for (std::uint64_t i = 0; i < map.perThread(); i++) {
+                const std::uint64_t key = map.lo(t) + i;
+                std::uint8_t value[kValueBytes];
+                expandValue(key * 0x9e3779b97f4a7c15ull, value);
+                set(ctx, shards_[t], key, value);
+            }
+        }
+    }
+
+    bool
+    workloadGet(pm::PmContext &ctx, ThreadId tid,
+                std::uint64_t key) override
+    {
+        pad(ctx, key);
+        return get(ctx, shards_[tid], key);
+    }
+
+    void
+    workloadPut(pm::PmContext &ctx, ThreadId tid, std::uint64_t key,
+                std::uint64_t value) override
+    {
+        pad(ctx, key);
+        std::uint8_t bytes[kValueBytes];
+        expandValue(value, bytes);
+        set(ctx, shards_[tid], key, bytes);
+    }
+
+    bool
+    workloadRmw(pm::PmContext &ctx, ThreadId tid, std::uint64_t key,
+                std::uint64_t delta) override
+    {
+        Shard &sh = shards_[tid];
+        pad(ctx, key);
+        const Addr off = find(ctx, sh, key);
+        std::uint64_t seed = delta;
+        if (off != kNullAddr) {
+            std::uint8_t old[kValueBytes];
+            ctx.load(off + offsetof(CacheItem, value), old, kValueBytes);
+            seed += mne::foldChecksum(old, kValueBytes);
+        }
+        std::uint8_t bytes[kValueBytes];
+        expandValue(seed, bytes);
+        set(ctx, sh, key, bytes);
+        return off != kNullAddr;
+    }
+
+    std::uint64_t
+    workloadScan(pm::PmContext &ctx, ThreadId tid, std::uint64_t key,
+                 std::uint64_t len) override
+    {
+        // Multi-get: point lookups without LRU bumps, like a batched
+        // read-only pipeline.
+        Shard &sh = shards_[tid];
+        pad(ctx, key);
+        std::uint64_t found = 0;
+        for (std::uint64_t j = 0; j < len; j++) {
+            const Addr off =
+                find(ctx, sh, keymap_.scanKey(tid, key, j));
+            if (off == kNullAddr)
+                continue;
+            CacheItem copy{};
+            ctx.load(off, &copy, sizeof(copy));
+            found++;
+        }
+        return found;
+    }
+
+    /** @} */
 
   protected:
     void
     scrubLayer(Runtime &rt, std::vector<LineAddr> &lines,
                VerifyReport &rep) override
     {
-        heap_->scrub(rt.ctx(0), lines, rep);
+        for (Shard &sh : shards_)
+            sh.heap->scrub(rt.ctx(0), lines, rep);
     }
 
   private:
+    /** One cache: its root and the Mnemosyne heap behind it. */
+    struct Shard
+    {
+        Addr rootOff = 0;
+        std::unique_ptr<mne::MnemosyneHeap> heap;
+    };
+
+    /**
+     * Format an empty cache of @p capacity items over [@p base,
+     * @p end): the root at @p base, then a Mnemosyne heap with
+     * @p lanes redo-log lanes.
+     */
+    void
+    format(pm::PmContext &ctx, Addr base, Addr end, unsigned lanes,
+           std::uint64_t capacity)
+    {
+        Shard sh;
+        sh.rootOff = base;
+        const Addr heap_base =
+            lineBase(base + sizeof(CacheRoot) + kCacheLineSize);
+        sh.heap = std::make_unique<mne::MnemosyneHeap>(
+            ctx, heap_base, end - heap_base, lanes);
+
+        CacheRoot root{};
+        root.magic = CacheRoot::kMagic;
+        root.capacity = capacity;
+        root.lruHead = root.lruTail = kNullAddr;
+        for (auto &b : root.buckets)
+            b = kNullAddr;
+        ctx.store(base, &root, sizeof(root), DataClass::User);
+        ctx.flush(base, sizeof(root));
+        ctx.fence(FenceKind::Durability);
+        shards_.push_back(std::move(sh));
+    }
+
     std::uint64_t
     keySpace() const
     {
         return std::max<std::uint64_t>(2048, config_.opsPerThread * 2);
     }
 
-    CacheRoot *root(pm::PmContext &ctx) { return ctx.pool()
-        .at<CacheRoot>(rootOff_); }
-
-    Addr
-    find(pm::PmContext &ctx, std::uint64_t key)
+    static void
+    randomValue(Rng &rng, std::uint8_t out[kValueBytes])
     {
-        return findAt(ctx, rootOff_, key);
+        for (std::size_t i = 0; i < kValueBytes; i++)
+            out[i] = static_cast<std::uint8_t>(rng());
+    }
+
+    /** Deterministic 48-byte value from a 64-bit seed (splitmix64). */
+    static void
+    expandValue(std::uint64_t seed, std::uint8_t out[kValueBytes])
+    {
+        for (std::size_t i = 0; i < kValueBytes; i += 8) {
+            seed += 0x9e3779b97f4a7c15ull;
+            std::uint64_t z = seed;
+            z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ull;
+            z = (z ^ (z >> 27)) * 0x94d049bb133111ebull;
+            z ^= z >> 31;
+            std::memcpy(out + i, &z, 8);
+        }
+    }
+
+    /** Request parsing / response buffers: DRAM traffic per op. */
+    static void
+    pad(pm::PmContext &ctx, std::uint64_t key)
+    {
+        char reqbuf[64];
+        std::snprintf(reqbuf, sizeof(reqbuf), "get k%llu",
+                      static_cast<unsigned long long>(key));
+        ctx.vStore(reqbuf, sizeof(reqbuf));
+        ctx.vLoad(reqbuf, 16);
+        ctx.vBurst(reqbuf, 1 << 13, 160, 70);
+        ctx.compute(5500);
     }
 
     Addr
-    findAt(pm::PmContext &ctx, Addr root_off, std::uint64_t key)
+    find(pm::PmContext &ctx, const Shard &sh, std::uint64_t key)
     {
-        Addr cur = ctx.pool().at<CacheRoot>(root_off)
+        Addr cur = ctx.pool().at<CacheRoot>(sh.rootOff)
                        ->buckets[hashKey(key) % kBuckets];
         while (cur != kNullAddr) {
             std::uint64_t probe = 0;
@@ -246,18 +391,12 @@ class MemcachedApp : public WhisperApp
         tx.set(r->lruHead, off, DataClass::User);
     }
 
-    void
-    getOp(pm::PmContext &ctx, std::uint64_t key)
-    {
-        std::lock_guard<std::mutex> guard(cacheLock_);
-        getOpAt(ctx, *heap_, rootOff_, key);
-    }
-
+    /** GET: a hit bumps the item to the LRU head (a transaction). */
     bool
-    getOpAt(pm::PmContext &ctx, mne::MnemosyneHeap &heap,
-            Addr root_off, std::uint64_t key)
+    get(pm::PmContext &ctx, Shard &sh, std::uint64_t key)
     {
-        const Addr off = findAt(ctx, root_off, key);
+        const Addr root_off = sh.rootOff;
+        const Addr off = find(ctx, sh, key);
         if (off == kNullAddr) {
             ctx.compute(60); // miss path: reply formatting only
             return false;
@@ -265,33 +404,24 @@ class MemcachedApp : public WhisperApp
         CacheItem copy{};
         ctx.load(off, &copy, sizeof(copy));
         // LRU bump: a persistent mutation, hence a transaction.
-        mne::Transaction tx(heap, ctx);
+        mne::Transaction tx(*sh.heap, ctx);
         lruUnlink(ctx, tx, root_off, off);
         lruPushFront(ctx, tx, root_off, off);
         tx.commit();
         return true;
     }
 
+    /** SET: insert-or-update, evicting the LRU tail when full. */
     void
-    setOp(pm::PmContext &ctx, std::uint64_t key, Rng &rng)
+    set(pm::PmContext &ctx, Shard &sh, std::uint64_t key,
+        const std::uint8_t value[kValueBytes])
     {
-        std::lock_guard<std::mutex> guard(cacheLock_);
-        std::uint8_t value[kValueBytes];
-        for (auto &b : value)
-            b = static_cast<std::uint8_t>(rng());
-        setOpAt(ctx, *heap_, rootOff_, key, value);
-    }
-
-    void
-    setOpAt(pm::PmContext &ctx, mne::MnemosyneHeap &heap,
-            Addr root_off, std::uint64_t key,
-            const std::uint8_t value[kValueBytes])
-    {
+        const Addr root_off = sh.rootOff;
         CacheRoot *r = ctx.pool().at<CacheRoot>(root_off);
-        const Addr existing = findAt(ctx, root_off, key);
+        const Addr existing = find(ctx, sh, key);
 
         if (existing != kNullAddr) {
-            mne::Transaction tx(heap, ctx);
+            mne::Transaction tx(*sh.heap, ctx);
             CacheItem *it = ctx.pool().at<CacheItem>(existing);
             tx.update(existing + offsetof(CacheItem, value), value,
                       kValueBytes, DataClass::User);
@@ -305,7 +435,7 @@ class MemcachedApp : public WhisperApp
             return;
         }
 
-        mne::Transaction tx(heap, ctx);
+        mne::Transaction tx(*sh.heap, ctx);
         // Evict from the tail when full.
         if (tx.get(r->count) >= tx.get(r->capacity)) {
             const Addr victim = tx.get(r->lruTail);
@@ -353,16 +483,9 @@ class MemcachedApp : public WhisperApp
     }
 
     bool
-    checkCache(Runtime &rt, std::string *why)
+    checkCache(pm::PmContext &ctx, const Shard &sh, std::string *why)
     {
-        return checkCacheAt(rt, rootOff_, why);
-    }
-
-    bool
-    checkCacheAt(Runtime &rt, Addr root_off, std::string *why)
-    {
-        pm::PmContext &ctx = rt.ctx(0);
-        CacheRoot *r = ctx.pool().at<CacheRoot>(root_off);
+        CacheRoot *r = ctx.pool().at<CacheRoot>(sh.rootOff);
         if (r->magic != CacheRoot::kMagic) {
             if (why)
                 *why = "bad root magic";
@@ -430,169 +553,9 @@ class MemcachedApp : public WhisperApp
         return true;
     }
 
-    // ---- Unified workload driver surface ------------------------------
-    //
-    // Each workload thread gets its own cache shard (root + Mnemosyne
-    // heap over a disjoint pool slice), mirroring memcached deployments
-    // that run one worker per core with partitioned key ownership. The
-    // per-shard capacity exceeds the keymap's slot count so workload-
-    // owned keys are never evicted: a GET on a loaded or inserted key
-    // must always hit.
-
-    /** Deterministic 48-byte value from a 64-bit seed (splitmix64). */
-    static void
-    expandValue(std::uint64_t seed, std::uint8_t out[kValueBytes])
-    {
-        for (std::size_t i = 0; i < kValueBytes; i += 8) {
-            seed += 0x9e3779b97f4a7c15ull;
-            std::uint64_t z = seed;
-            z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ull;
-            z = (z ^ (z >> 27)) * 0x94d049bb133111ebull;
-            z ^= z >> 31;
-            std::memcpy(out + i, &z, 8);
-        }
-    }
-
-    /** DRAM-side request handling, matching run()'s per-op shape. */
-    void
-    wlPad(pm::PmContext &ctx, std::uint64_t key)
-    {
-        char reqbuf[64];
-        std::snprintf(reqbuf, sizeof(reqbuf), "get k%llu",
-                      static_cast<unsigned long long>(key));
-        ctx.vStore(reqbuf, sizeof(reqbuf));
-        ctx.vLoad(reqbuf, 16);
-        ctx.vBurst(reqbuf, 1 << 13, 160, 70);
-        ctx.compute(5500);
-    }
-
-  public:
-    bool supportsWorkload() const override { return true; }
-
-    void
-    workloadSetup(Runtime &rt, const core::WorkloadKeymap &map) override
-    {
-        wlMap_ = map;
-        wlShards_.clear();
-        wlShards_.resize(map.threads);
-        const Addr region = lineBase(config_.poolBytes / map.threads);
-        panic_if(region <= sizeof(CacheRoot) + (2u << 20),
-                 "memcached workload: pool too small for %u shards",
-                 map.threads);
-        for (unsigned t = 0; t < map.threads; t++) {
-            pm::PmContext &ctx = rt.ctx(t);
-            WlShard &sh = wlShards_[t];
-            sh.rootOff = static_cast<Addr>(t) * region;
-            const Addr heap_base =
-                lineBase(sh.rootOff + sizeof(CacheRoot) + kCacheLineSize);
-            sh.heap = std::make_unique<mne::MnemosyneHeap>(
-                ctx, heap_base, sh.rootOff + region - heap_base, 1);
-
-            CacheRoot root{};
-            root.magic = CacheRoot::kMagic;
-            root.capacity = map.slotsPerThread() + 64;
-            root.lruHead = root.lruTail = kNullAddr;
-            for (auto &b : root.buckets)
-                b = kNullAddr;
-            ctx.store(sh.rootOff, &root, sizeof(root), DataClass::User);
-            ctx.flush(sh.rootOff, sizeof(root));
-            ctx.fence(FenceKind::Durability);
-
-            for (std::uint64_t i = 0; i < map.perThread(); i++) {
-                const std::uint64_t key = map.lo(t) + i;
-                std::uint8_t value[kValueBytes];
-                expandValue(key * 0x9e3779b97f4a7c15ull, value);
-                setOpAt(ctx, *sh.heap, sh.rootOff, key, value);
-            }
-        }
-    }
-
-    bool
-    workloadGet(pm::PmContext &ctx, ThreadId tid,
-                std::uint64_t key) override
-    {
-        WlShard &sh = wlShards_[tid];
-        wlPad(ctx, key);
-        return getOpAt(ctx, *sh.heap, sh.rootOff, key);
-    }
-
-    void
-    workloadPut(pm::PmContext &ctx, ThreadId tid, std::uint64_t key,
-                std::uint64_t value) override
-    {
-        WlShard &sh = wlShards_[tid];
-        wlPad(ctx, key);
-        std::uint8_t bytes[kValueBytes];
-        expandValue(value, bytes);
-        setOpAt(ctx, *sh.heap, sh.rootOff, key, bytes);
-    }
-
-    bool
-    workloadRmw(pm::PmContext &ctx, ThreadId tid, std::uint64_t key,
-                std::uint64_t delta) override
-    {
-        WlShard &sh = wlShards_[tid];
-        wlPad(ctx, key);
-        const Addr off = findAt(ctx, sh.rootOff, key);
-        std::uint64_t seed = delta;
-        if (off != kNullAddr) {
-            std::uint8_t old[kValueBytes];
-            ctx.load(off + offsetof(CacheItem, value), old, kValueBytes);
-            seed += mne::foldChecksum(old, kValueBytes);
-        }
-        std::uint8_t bytes[kValueBytes];
-        expandValue(seed, bytes);
-        setOpAt(ctx, *sh.heap, sh.rootOff, key, bytes);
-        return off != kNullAddr;
-    }
-
-    std::uint64_t
-    workloadScan(pm::PmContext &ctx, ThreadId tid, std::uint64_t key,
-                 std::uint64_t len) override
-    {
-        // Multi-get: point lookups without LRU bumps, like a batched
-        // read-only pipeline.
-        WlShard &sh = wlShards_[tid];
-        wlPad(ctx, key);
-        std::uint64_t found = 0;
-        for (std::uint64_t j = 0; j < len; j++) {
-            const Addr off = findAt(
-                ctx, sh.rootOff, wlMap_.scanKey(tid, key, j));
-            if (off == kNullAddr)
-                continue;
-            CacheItem copy{};
-            ctx.load(off, &copy, sizeof(copy));
-            found++;
-        }
-        return found;
-    }
-
-    VerifyReport
-    workloadCheck(Runtime &rt) override
-    {
-        VerifyReport rep = report();
-        for (unsigned t = 0; t < wlMap_.threads; t++) {
-            std::string why;
-            rep.check(checkCacheAt(rt, wlShards_[t].rootOff, &why),
-                      "cache-intact", why);
-            rep.check(wlShards_[t].heap->logsQuiescent(rt.ctx(t), &why),
-                      "logs-quiescent", why);
-        }
-        return rep;
-    }
-
-  private:
-    struct WlShard
-    {
-        Addr rootOff = 0;
-        std::unique_ptr<mne::MnemosyneHeap> heap;
-    };
-
-    std::unique_ptr<mne::MnemosyneHeap> heap_;
-    Addr rootOff_ = 0;
-    std::mutex cacheLock_;
-    core::WorkloadKeymap wlMap_;
-    std::vector<WlShard> wlShards_;
+    std::vector<Shard> shards_;
+    std::mutex runLock_; //!< run()'s threads share shards_[0]
+    core::WorkloadKeymap keymap_;
 };
 
 } // namespace

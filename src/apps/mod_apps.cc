@@ -191,8 +191,6 @@ class ModHashmapApp : public WhisperApp
      * run() cadence (every kDurabilityInterval ops).
      */
 
-    bool supportsWorkload() const override { return true; }
-
     void
     workloadSetup(Runtime &rt, const WorkloadKeymap &map) override
     {
@@ -489,8 +487,6 @@ class ModVectorApp : public WhisperApp
      * per-thread. Every key maps to a distinct element (no aliasing);
      * preloading fills whole chunks, one shadow write per chunk.
      */
-
-    bool supportsWorkload() const override { return true; }
 
     void
     workloadSetup(Runtime &rt, const WorkloadKeymap &map) override

@@ -354,8 +354,6 @@ class MysqlApp : public WhisperApp
     }
 
   public:
-    bool supportsWorkload() const override { return true; }
-
     void
     workloadSetup(Runtime &rt, const core::WorkloadKeymap &map) override
     {

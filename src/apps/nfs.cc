@@ -141,12 +141,6 @@ class NfsApp : public WhisperApp
     }
 
     VerifyReport
-    verifyRecovered(Runtime &rt) override
-    {
-        return verify(rt);
-    }
-
-    VerifyReport
     checkRecoveryInvariants(Runtime &rt) override
     {
         pm::PmContext &ctx = rt.ctx(0);
@@ -260,8 +254,6 @@ class NfsApp : public WhisperApp
     }
 
   public:
-    bool supportsWorkload() const override { return true; }
-
     void
     workloadSetup(Runtime &rt, const core::WorkloadKeymap &map) override
     {

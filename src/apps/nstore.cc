@@ -139,43 +139,16 @@ class NstoreApp : public WhisperApp
     setup(Runtime &rt) override
     {
         pm::PmContext &ctx = rt.ctx(0);
-        // Layout: [partition headers][undo logs][global buddy heap].
-        const std::size_t part_bytes =
-            lineBase(sizeof(Partition) + kCacheLineSize);
-        partitionBytes_ = part_bytes;
-        partitionsOff_ = 0;
-        undoOff_ = partitionsOff_ +
-                   static_cast<Addr>(config_.threads) * part_bytes;
-        heapOff_ = lineBase(
-            undoOff_ + static_cast<Addr>(config_.threads) *
-                           kUndoLogBytes + kCacheLineSize);
-        heap_ = std::make_unique<alloc::BuddyAllocator>(
-            ctx, heapOff_, config_.poolBytes - heapOff_);
-
-        for (unsigned p = 0; p < config_.threads; p++) {
-            Partition hdr{};
-            hdr.magic = Partition::kMagic;
-            hdr.activeLog = kNullAddr;
-            for (auto &slot : hdr.index)
-                slot = kNullAddr;
-            ctx.store(partOff(p), &hdr, sizeof(hdr), DataClass::User);
-            ctx.flush(partOff(p), sizeof(hdr));
-            UndoRec end{UndoRec::kMagic, 0, 0, 0, 0, 0};
-            ctx.store(undoLogOff(p), &end, sizeof(end),
-                      DataClass::Log);
-            ctx.flush(undoLogOff(p), sizeof(end));
-        }
-        segCursor_.assign(config_.threads, 0);
-        txSeq_.assign(config_.threads, 1);
-        ctx.fence(FenceKind::Durability);
+        shards_.clear();
+        format(ctx, 0, config_.poolBytes, config_.threads);
 
         // Load phase: each partition gets its initial tuples.
         const std::uint64_t rows = initialRows();
         for (unsigned p = 0; p < config_.threads; p++) {
-            pm::PmContext &pctx = rt.ctx(0);
+            const PartRef pr = part(shards_[0], p);
             Rng rng(config_.seed + p);
             for (std::uint64_t k = 0; k < rows; k++)
-                insertTuple(pctx, partRef(p), k, rng, nullptr);
+                insertTuple(ctx, pr, k, rng, nullptr);
         }
     }
 
@@ -183,19 +156,17 @@ class NstoreApp : public WhisperApp
     run(Runtime &rt, pm::PmContext &ctx, ThreadId tid) override
     {
         (void)rt;
+        const PartRef pr = part(shards_[0], tid);
         Rng rng(config_.seed * 31 + tid);
         const std::uint64_t rows = initialRows();
         ZipfianGenerator zipf(rows);
 
         for (std::uint64_t op = 0; op < config_.opsPerThread; op++) {
-            // Query parsing, plan caching, client buffers: N-store
-            // YCSB is ~8.7% PM accesses in the paper's Figure 6.
-            ctx.vBurst(&zipf, 1 << 16, 1000, 420);
-            ctx.compute(2500);
+            pad(ctx, &zipf);
             if (workload_ == NstoreWorkload::Ycsb)
-                ycsbTx(ctx, tid, rng, zipf);
+                ycsbTx(ctx, pr, rng, zipf);
             else
-                tpccTx(ctx, tid, rng, zipf, op);
+                tpccTx(ctx, pr, rng, zipf, op);
         }
     }
 
@@ -203,8 +174,11 @@ class NstoreApp : public WhisperApp
     verify(Runtime &rt) override
     {
         VerifyReport rep = report();
-        std::string why;
-        rep.check(checkAll(rt, &why), "tables-intact", why);
+        for (Shard &sh : shards_) {
+            std::string why;
+            rep.check(checkShard(rt.ctx(0), sh, &why), "tables-intact",
+                      why);
+        }
         return rep;
     }
 
@@ -215,31 +189,24 @@ class NstoreApp : public WhisperApp
         // Roll back every partition's in-flight transaction, then
         // prune half-inserted (VOLATILE) tuples, then let the heap
         // reclaim.
-        for (unsigned p = 0; p < config_.threads; p++)
-            rollbackUndo(ctx, partRef(p));
-        for (unsigned p = 0; p < config_.threads; p++) {
-            Partition *part = partition(ctx, p);
-            for (auto &slot : part->index) {
-                while (slot != kNullAddr &&
-                       heap_->state(ctx, slot) !=
-                           alloc::BlockState::Persistent) {
-                    const Tuple *t = ctx.pool().at<Tuple>(slot);
-                    ctx.storeField(slot, t->next, DataClass::User);
-                    ctx.flush(ctx.pool().offsetOf(&slot), 8);
-                    ctx.fence(FenceKind::Ordering);
+        for (Shard &sh : shards_) {
+            for (unsigned p = 0; p < sh.lanes; p++)
+                rollbackUndo(ctx, part(sh, p));
+            for (unsigned p = 0; p < sh.lanes; p++) {
+                Partition *hdr = partition(ctx, part(sh, p));
+                for (auto &slot : hdr->index) {
+                    while (slot != kNullAddr &&
+                           sh.heap->state(ctx, slot) !=
+                               alloc::BlockState::Persistent) {
+                        const Tuple *t = ctx.pool().at<Tuple>(slot);
+                        ctx.storeField(slot, t->next, DataClass::User);
+                        ctx.flush(ctx.pool().offsetOf(&slot), 8);
+                        ctx.fence(FenceKind::Ordering);
+                    }
                 }
             }
+            sh.heap->recover(ctx);
         }
-        heap_->recover(ctx);
-    }
-
-    VerifyReport
-    verifyRecovered(Runtime &rt) override
-    {
-        VerifyReport rep = report();
-        std::string why;
-        rep.check(checkAll(rt, &why), "tables-intact", why);
-        return rep;
     }
 
     VerifyReport
@@ -250,15 +217,118 @@ class NstoreApp : public WhisperApp
         // commits or rolls back the in-flight transaction).
         pm::PmContext &ctx = rt.ctx(0);
         VerifyReport rep = report();
-        for (unsigned p = 0; p < config_.threads; p++) {
-            const Partition *part = partition(ctx, p);
-            if (!rep.check(part->activeLog == kNullAddr,
-                           "undo-retired",
-                           "partition " + std::to_string(p) +
-                               " still publishes an active undo log"))
-                break;
+        for (Shard &sh : shards_) {
+            for (unsigned p = 0; p < sh.lanes; p++) {
+                if (!rep.check(partition(ctx, part(sh, p))->activeLog ==
+                                   kNullAddr,
+                               "undo-retired",
+                               "partition " + std::to_string(p) +
+                                   " still publishes an active undo "
+                                   "log"))
+                    return rep;
+            }
         }
         return rep;
+    }
+
+    // ---- Generated-workload surface -----------------------------------
+    //
+    // N-store is partitioned by design; the workload keeps that shape
+    // but gives every thread a fully private shard: partition header,
+    // undo log *and* buddy heap over a disjoint pool slice (run()
+    // shares one global heap, whose allocation cost depends on cross-
+    // thread interleaving and would break digest determinism). Each
+    // put/rmw runs as a one-operation OPTWAL transaction: publish an
+    // undo segment, journal the old images, update in place, flush,
+    // fence, retire the log with one pointer write.
+
+    void
+    workloadSetup(Runtime &rt, const core::WorkloadKeymap &map) override
+    {
+        keymap_ = map;
+        shards_.clear();
+        const Addr region = lineBase(config_.poolBytes / map.threads);
+        panic_if(region <= kPartitionBytes + kUndoLogBytes + (4u << 20),
+                 "nstore workload: pool too small for %u shards",
+                 map.threads);
+        for (unsigned t = 0; t < map.threads; t++) {
+            pm::PmContext &ctx = rt.ctx(t);
+            const Addr base = static_cast<Addr>(t) * region;
+            format(ctx, base, base + region, 1);
+            const PartRef pr = part(shards_[t], 0);
+            Rng rng(config_.seed + t);
+            for (std::uint64_t i = 0; i < map.perThread(); i++)
+                insertTuple(ctx, pr, map.lo(t) + i, rng, nullptr);
+        }
+    }
+
+    bool
+    workloadGet(pm::PmContext &ctx, ThreadId tid,
+                std::uint64_t key) override
+    {
+        pad(ctx, &key);
+        const Addr off = findTuple(ctx, part(shards_[tid], 0), key);
+        if (off == kNullAddr)
+            return false;
+        Tuple t{};
+        ctx.load(off, &t, sizeof(t));
+        ctx.compute(40);
+        return true;
+    }
+
+    void
+    workloadPut(pm::PmContext &ctx, ThreadId tid, std::uint64_t key,
+                std::uint64_t value) override
+    {
+        pad(ctx, &key);
+        const PartRef pr = part(shards_[tid], 0);
+        transact(ctx, pr, [&](Txn &txn) {
+            const Addr off = findTuple(ctx, pr, key);
+            Rng vrng(value ^ key);
+            if (off != kNullAddr)
+                updateTuple(ctx, pr, off, vrng, txn, 9);
+            else
+                insertTuple(ctx, pr, key, vrng, &txn);
+        });
+    }
+
+    bool
+    workloadRmw(pm::PmContext &ctx, ThreadId tid, std::uint64_t key,
+                std::uint64_t delta) override
+    {
+        pad(ctx, &key);
+        const PartRef pr = part(shards_[tid], 0);
+        const Addr off = findTuple(ctx, pr, key);
+        if (off == kNullAddr) {
+            workloadPut(ctx, tid, key, delta);
+            return false;
+        }
+        Tuple t{};
+        ctx.load(off, &t, sizeof(t));
+        transact(ctx, pr, [&](Txn &txn) {
+            Rng vrng(delta ^ t.seq);
+            updateTuple(ctx, pr, off, vrng, txn, 3);
+        });
+        return true;
+    }
+
+    std::uint64_t
+    workloadScan(pm::PmContext &ctx, ThreadId tid, std::uint64_t key,
+                 std::uint64_t len) override
+    {
+        pad(ctx, &key);
+        const PartRef pr = part(shards_[tid], 0);
+        std::uint64_t found = 0;
+        for (std::uint64_t j = 0; j < len; j++) {
+            const Addr off =
+                findTuple(ctx, pr, keymap_.scanKey(tid, key, j));
+            if (off == kNullAddr)
+                continue;
+            Tuple t{};
+            ctx.load(off, &t, sizeof(t));
+            found++;
+        }
+        return found;
     }
 
   protected:
@@ -276,144 +346,65 @@ class NstoreApp : public WhisperApp
     scrubLayer(Runtime &rt, std::vector<LineAddr> &lines,
                VerifyReport &rep) override
     {
-        pm::PmContext &ctx = rt.ctx(0);
-        const Addr undo_end = undoOff_ +
-                              static_cast<Addr>(config_.threads) *
-                                  kUndoLogBytes;
-        std::vector<LineAddr> part_lines, undo_lines, heap_lines,
-            rest;
-        for (const LineAddr line : lines) {
-            const Addr off = static_cast<Addr>(line) << kCacheLineBits;
-            if (off >= partitionsOff_ && off < undoOff_)
-                part_lines.push_back(line);
-            else if (off >= undoOff_ && off < undo_end)
-                undo_lines.push_back(line);
-            else if (off >= heapOff_ &&
-                     off < heapOff_ + heap_->heapSize())
-                heap_lines.push_back(line);
-            else
-                rest.push_back(line);
-        }
-
-        std::vector<bool> recount(config_.threads, false);
-        bool undo_lost = false;
-        for (const LineAddr line : part_lines) {
-            const Addr lo = static_cast<Addr>(line) << kCacheLineBits;
-            const unsigned p = static_cast<unsigned>(
-                (lo - partitionsOff_) / partitionBytes_);
-            const Addr base = partOff(p);
-            const Addr hi =
-                std::min<Addr>(lo + kCacheLineSize,
-                               base + sizeof(Partition));
-            for (Addr w = lo; w < hi; w += 8) {
-                const Addr rel = w - base;
-                if (rel == offsetof(Partition, magic)) {
-                    const std::uint64_t magic = Partition::kMagic;
-                    ctx.store(w, &magic, 8, DataClass::User);
-                } else if (rel == offsetof(Partition, tupleCount)) {
-                    recount[p] = true;
-                } else if (rel == offsetof(Partition, activeLog)) {
-                    const Addr null = kNullAddr;
-                    ctx.store(w, &null, 8, DataClass::TxMeta);
-                    undo_lost = true;
-                } else if (rel == offsetof(Partition, activeSeq)) {
-                    // Zero is fine once activeLog is retired.
-                } else if (rel >= offsetof(Partition, index)) {
-                    const Addr null = kNullAddr;
-                    ctx.store(w, &null, 8, DataClass::User);
-                }
-            }
-            if (hi > lo)
-                ctx.persist(lo, hi - lo);
-        }
-
-        // Undo records matter only inside a published segment; a
-        // zero-filled record there stops rollback's walk early and
-        // later in-flight updates may persist torn (the checksums
-        // report it, covered by the Degraded entry below).
-        std::vector<LineAddr> active_lost;
-        for (const LineAddr line : undo_lines) {
-            const Addr off = static_cast<Addr>(line) << kCacheLineBits;
-            const unsigned p = static_cast<unsigned>(
-                (off - undoOff_) / kUndoLogBytes);
-            const Addr seg = partition(ctx, p)->activeLog;
-            if (seg != kNullAddr && off >= seg &&
-                off < seg + kUndoSegmentBytes) {
-                active_lost.push_back(line);
-            }
-        }
-
-        const auto node_lost = [&](Addr off, std::size_t n) {
-            if (off < heapOff_ + sizeof(alloc::BuddyHeader) ||
-                off + n > heapOff_ + heap_->heapSize())
-                return true;
-            for (LineAddr l = lineOf(off); l <= lineOf(off + n - 1);
-                 l++) {
-                if (std::find(heap_lines.begin(), heap_lines.end(),
-                              l) != heap_lines.end())
-                    return true;
-            }
-            return false;
-        };
-        std::uint64_t chains_cut = 0;
-        for (unsigned p = 0; p < config_.threads; p++) {
-            std::uint64_t reachable = 0;
-            for (std::uint64_t b = 0; b < kIndexBuckets; b++) {
-                Addr slot = partOff(p) + offsetof(Partition, index) +
-                            b * sizeof(Addr);
-                Addr cur = 0;
-                ctx.load(slot, &cur, 8);
-                while (cur != kNullAddr) {
-                    if (node_lost(cur, sizeof(Tuple))) {
-                        const Addr null = kNullAddr;
-                        ctx.store(slot, &null, 8, DataClass::User);
-                        ctx.persist(slot, 8);
-                        chains_cut++;
-                        break;
-                    }
-                    reachable++;
-                    const Tuple *t = ctx.pool().at<Tuple>(cur);
-                    slot = cur + offsetof(Tuple, next);
-                    cur = t->next;
-                }
-            }
-            if (recount[p]) {
-                const Addr w =
-                    partOff(p) + offsetof(Partition, tupleCount);
-                ctx.store(w, &reachable, 8, DataClass::User);
-                ctx.persist(w, 8);
-            }
-        }
-
-        if (!part_lines.empty()) {
-            rep.degrade(
-                "nstore-partition-lost",
-                undo_lost
-                    ? "partition header repaired; a published undo "
-                      "descriptor was lost, so the in-flight "
-                      "transaction cannot roll back"
-                    : "partition header words repaired on "
-                      "zero-filled lines",
-                part_lines);
-        }
-        if (!active_lost.empty()) {
-            rep.degrade("nstore-undo-record-lost",
-                        "records in a published undo segment "
-                        "zero-filled; rollback stops at the first "
-                        "lost record",
-                        active_lost);
-        }
-        if (chains_cut > 0) {
-            rep.degrade("nstore-chain-lost",
-                        std::to_string(chains_cut) +
-                            " index chain(s) truncated at "
-                            "media-lost tuples",
-                        heap_lines);
-        }
-        lines = std::move(rest);
+        for (Shard &sh : shards_)
+            scrubShard(rt.ctx(0), sh, lines, rep);
     }
 
   private:
+    /** Line-aligned stride of the partition headers. */
+    static constexpr Addr kPartitionBytes =
+        lineBase(sizeof(Partition) + kCacheLineSize);
+
+    /**
+     * One database: [@c lanes partition headers][@c lanes undo logs]
+     * [buddy heap], plus each partition's volatile undo-segment
+     * cursor and transaction sequence.
+     */
+    struct Shard
+    {
+        Addr base = 0;
+        Addr undoOff = 0;
+        Addr heapOff = 0;
+        unsigned lanes = 0;
+        std::vector<std::uint32_t> segCursor;
+        std::vector<std::uint64_t> txSeq;
+        std::unique_ptr<alloc::BuddyAllocator> heap;
+    };
+
+    /** Format @p lanes empty partitions over [@p base, @p end). */
+    void
+    format(pm::PmContext &ctx, Addr base, Addr end, unsigned lanes)
+    {
+        Shard sh;
+        sh.base = base;
+        sh.lanes = lanes;
+        sh.undoOff = base + static_cast<Addr>(lanes) * kPartitionBytes;
+        sh.heapOff = lineBase(
+            sh.undoOff + static_cast<Addr>(lanes) * kUndoLogBytes +
+            kCacheLineSize);
+        sh.heap = std::make_unique<alloc::BuddyAllocator>(
+            ctx, sh.heapOff, end - sh.heapOff);
+        sh.segCursor.assign(lanes, 0);
+        sh.txSeq.assign(lanes, 1);
+        shards_.push_back(std::move(sh));
+
+        for (unsigned p = 0; p < lanes; p++) {
+            const PartRef pr = part(shards_.back(), p);
+            Partition hdr{};
+            hdr.magic = Partition::kMagic;
+            hdr.activeLog = kNullAddr;
+            for (auto &slot : hdr.index)
+                slot = kNullAddr;
+            ctx.store(pr.part, &hdr, sizeof(hdr), DataClass::User);
+            ctx.flush(pr.part, sizeof(hdr));
+            UndoRec end_rec{UndoRec::kMagic, 0, 0, 0, 0, 0};
+            ctx.store(pr.undo, &end_rec, sizeof(end_rec),
+                      DataClass::Log);
+            ctx.flush(pr.undo, sizeof(end_rec));
+        }
+        ctx.fence(FenceKind::Durability);
+    }
+
     std::uint64_t
     initialRows() const
     {
@@ -421,23 +412,19 @@ class NstoreApp : public WhisperApp
             512, std::min<std::uint64_t>(config_.opsPerThread, 16384));
     }
 
-    Addr
-    partOff(unsigned p) const
+    /** Query parsing, plan caching, client buffers per op: N-store
+     *  YCSB is ~8.7% PM accesses in the paper's Figure 6. */
+    static void
+    pad(pm::PmContext &ctx, const void *base)
     {
-        return partitionsOff_ + static_cast<Addr>(p) * partitionBytes_;
-    }
-
-    Addr
-    undoLogOff(unsigned p) const
-    {
-        return undoOff_ + static_cast<Addr>(p) * kUndoLogBytes;
+        ctx.vBurst(base, 1 << 16, 1000, 420);
+        ctx.compute(2500);
     }
 
     /**
      * Everything an OPTWAL partition operation needs: the header and
-     * undo-log offsets, the backing allocator and the volatile per-
-     * partition cursors. The run path wires these to the global layout
-     * via partRef(); workload shards supply fully private instances.
+     * undo-log offsets, the backing allocator and the volatile
+     * per-partition cursors.
      */
     struct PartRef
     {
@@ -448,11 +435,42 @@ class NstoreApp : public WhisperApp
         std::uint64_t *txSeq;
     };
 
-    PartRef
-    partRef(unsigned p)
+    /** Partition @p p of @p sh. */
+    static PartRef
+    part(Shard &sh, unsigned p)
     {
-        return {partOff(p), undoLogOff(p), heap_.get(),
-                &segCursor_[p], &txSeq_[p]};
+        return {sh.base + static_cast<Addr>(p) * kPartitionBytes,
+                sh.undoOff + static_cast<Addr>(p) * kUndoLogBytes,
+                sh.heap.get(), &sh.segCursor[p], &sh.txSeq[p]};
+    }
+
+    /** The in-flight OPTWAL transaction of one partition. */
+    struct Txn
+    {
+        Addr head;         //!< next undo-record slot
+        std::uint64_t seq; //!< published sequence number
+        std::vector<std::pair<Addr, std::uint32_t>> dirty;
+    };
+
+    /**
+     * Run @p body as one OPTWAL transaction on @p pr: publish a log
+     * segment, let @p body journal and update in place, flush the
+     * dirty ranges, fence once, retire the log.
+     */
+    template <typename Body>
+    void
+    transact(pm::PmContext &ctx, const PartRef &pr, Body body)
+    {
+        const TxId tx = ctx.txBegin();
+        const Addr undo_seg = acquireUndoSegment(pr);
+        const std::uint64_t undo_seq = undoActivate(ctx, pr, undo_seg);
+        Txn txn{undo_seg, undo_seq, {}};
+        body(txn);
+        for (const auto &[off, n] : txn.dirty)
+            ctx.flush(off, n);
+        ctx.fence(FenceKind::Durability);
+        undoRetire(ctx, pr);
+        ctx.txEnd(tx);
     }
 
     /** Rotating log segment for this partition's next transaction. */
@@ -463,14 +481,8 @@ class NstoreApp : public WhisperApp
         return pr.undo + static_cast<Addr>(seg) * kUndoSegmentBytes;
     }
 
-    Partition *
-    partition(pm::PmContext &ctx, unsigned p)
-    {
-        return ctx.pool().at<Partition>(partOff(p));
-    }
-
-    Partition *
-    partitionAt(pm::PmContext &ctx, const PartRef &pr)
+    static Partition *
+    partition(pm::PmContext &ctx, const PartRef &pr)
     {
         return ctx.pool().at<Partition>(pr.part);
     }
@@ -478,9 +490,10 @@ class NstoreApp : public WhisperApp
     /** @{ \name OPTWAL undo logging (per partition) */
 
     void
-    undoAppend(pm::PmContext &ctx, const PartRef &pr, Addr &head,
-               Addr addr, std::uint32_t size, std::uint64_t seq)
+    undoAppend(pm::PmContext &ctx, const PartRef &pr, Txn &txn,
+               Addr addr, std::uint32_t size)
     {
+        Addr &head = txn.head;
         const Addr seg_base =
             pr.undo +
             (head - pr.undo) / kUndoSegmentBytes * kUndoSegmentBytes;
@@ -490,7 +503,7 @@ class NstoreApp : public WhisperApp
         std::vector<std::uint8_t> old(size);
         ctx.load(addr, old.data(), size);
         UndoRec rec{UndoRec::kMagic, size, addr,
-                    foldChecksum(old.data(), size), 0, seq};
+                    foldChecksum(old.data(), size), 0, txn.seq};
         ctx.store(head, &rec, sizeof(rec), DataClass::Log);
         ctx.store(head + sizeof(rec), old.data(), size, DataClass::Log);
         ctx.flush(head, sizeof(rec) + size);
@@ -504,13 +517,13 @@ class NstoreApp : public WhisperApp
     std::uint64_t
     undoActivate(pm::PmContext &ctx, const PartRef &pr, Addr seg_base)
     {
-        Partition *part = partitionAt(ctx, pr);
+        Partition *hdr = partition(ctx, pr);
         const std::uint64_t seq = (*pr.txSeq)++;
         const struct { Addr log; std::uint64_t seq; } cell{seg_base,
                                                            seq};
-        ctx.store(ctx.pool().offsetOf(&part->activeLog), &cell,
+        ctx.store(ctx.pool().offsetOf(&hdr->activeLog), &cell,
                   sizeof(cell), DataClass::TxMeta);
-        ctx.flush(ctx.pool().offsetOf(&part->activeLog), sizeof(cell));
+        ctx.flush(ctx.pool().offsetOf(&hdr->activeLog), sizeof(cell));
         ctx.fence(FenceKind::Ordering);
         return seq;
     }
@@ -519,10 +532,10 @@ class NstoreApp : public WhisperApp
     void
     undoRetire(pm::PmContext &ctx, const PartRef &pr)
     {
-        Partition *part = partitionAt(ctx, pr);
+        Partition *hdr = partition(ctx, pr);
         const Addr none = kNullAddr;
-        ctx.storeField(part->activeLog, none, DataClass::TxMeta);
-        ctx.flush(ctx.pool().offsetOf(&part->activeLog), 8);
+        ctx.storeField(hdr->activeLog, none, DataClass::TxMeta);
+        ctx.flush(ctx.pool().offsetOf(&hdr->activeLog), 8);
         ctx.fence(FenceKind::Ordering);
     }
 
@@ -531,9 +544,9 @@ class NstoreApp : public WhisperApp
     {
         // Only the published segment (if any) is live, and only
         // records tagged with the published sequence belong to it.
-        Partition *part = partitionAt(ctx, pr);
-        const Addr seg_base = part->activeLog;
-        const std::uint64_t seq = part->activeSeq;
+        Partition *hdr = partition(ctx, pr);
+        const Addr seg_base = hdr->activeLog;
+        const std::uint64_t seq = hdr->activeSeq;
         if (seg_base == kNullAddr)
             return;
         struct Rec { Addr addr; std::uint32_t size; Addr payload; };
@@ -574,8 +587,7 @@ class NstoreApp : public WhisperApp
     Addr
     findTuple(pm::PmContext &ctx, const PartRef &pr, std::uint64_t key)
     {
-        Partition *part = partitionAt(ctx, pr);
-        Addr cur = part->index[hashKey(key) % kIndexBuckets];
+        Addr cur = partition(ctx, pr)->index[hashKey(key) % kIndexBuckets];
         while (cur != kNullAddr) {
             std::uint64_t probe_key = 0;
             ctx.load(cur + offsetof(Tuple, key), &probe_key, 8);
@@ -587,18 +599,17 @@ class NstoreApp : public WhisperApp
     }
 
     /**
-     * Insert a fresh tuple. When @p undo_head is non-null the insert
-     * runs inside a transaction (index link journaled); during the
+     * Insert a fresh tuple. When @p txn is non-null the insert runs
+     * inside that transaction (index link journaled); during the
      * load phase it is null and only the allocator's protocol runs.
      */
     Addr
     insertTuple(pm::PmContext &ctx, const PartRef &pr,
-                std::uint64_t key, Rng &rng, Addr *undo_head,
-                std::uint64_t seq = 0)
+                std::uint64_t key, Rng &rng, Txn *txn)
     {
         const Addr off = pr.heap->alloc(ctx, sizeof(Tuple));
         panic_if(off == kNullAddr, "nstore heap exhausted");
-        Partition *part = partitionAt(ctx, pr);
+        Partition *part = partition(ctx, pr);
         Addr &slot = part->index[hashKey(key) % kIndexBuckets];
 
         Tuple t{};
@@ -612,20 +623,17 @@ class NstoreApp : public WhisperApp
         ctx.flush(off, sizeof(t));
         ctx.fence(FenceKind::Ordering);
 
-        if (undo_head) {
-            undoAppend(ctx, pr, *undo_head,
-                       ctx.pool().offsetOf(&slot), 8, seq);
-        }
+        if (txn)
+            undoAppend(ctx, pr, *txn, ctx.pool().offsetOf(&slot), 8);
         ctx.storeField(slot, off, DataClass::User);
         ctx.flush(ctx.pool().offsetOf(&slot), 8);
         ctx.fence(FenceKind::Ordering);
         pr.heap->setState(ctx, off, alloc::BlockState::Persistent);
 
         const std::uint64_t n = ctx.loadField(part->tupleCount) + 1;
-        if (undo_head) {
-            undoAppend(ctx, pr, *undo_head,
-                       ctx.pool().offsetOf(&part->tupleCount), 8,
-                       seq);
+        if (txn) {
+            undoAppend(ctx, pr, *txn,
+                       ctx.pool().offsetOf(&part->tupleCount), 8);
         }
         ctx.storeField(part->tupleCount, n, DataClass::User);
         ctx.flush(ctx.pool().offsetOf(&part->tupleCount), 8);
@@ -641,9 +649,7 @@ class NstoreApp : public WhisperApp
      */
     void
     updateTuple(pm::PmContext &ctx, const PartRef &pr, Addr off,
-                Rng &rng, Addr &undo_head, std::uint64_t seq,
-                unsigned cols,
-                std::vector<std::pair<Addr, std::uint32_t>> &dirty)
+                Rng &rng, Txn &txn, unsigned cols)
     {
         Tuple *t = ctx.pool().at<Tuple>(off);
         for (unsigned c = 0; c < cols; c++) {
@@ -651,112 +657,76 @@ class NstoreApp : public WhisperApp
                 rng.next(kTupleValueBytes / 10);
             const Addr field_off =
                 off + offsetof(Tuple, value) + field * 10;
-            undoAppend(ctx, pr, undo_head, field_off, 10, seq);
+            undoAppend(ctx, pr, txn, field_off, 10);
             std::uint8_t bytes[10];
             for (auto &b : bytes)
                 b = static_cast<std::uint8_t>(rng());
             ctx.store(field_off, bytes, sizeof(bytes),
                       DataClass::User);
-            dirty.emplace_back(field_off, 10);
+            txn.dirty.emplace_back(field_off, 10);
         }
         // Header (seq + checksum) under one more record.
-        undoAppend(ctx, pr, undo_head, off + offsetof(Tuple, seq), 16,
-                   seq);
+        undoAppend(ctx, pr, txn, off + offsetof(Tuple, seq), 16);
         const std::uint64_t tuple_seq = t->seq + 1;
         ctx.storeField(t->seq, tuple_seq, DataClass::User);
         const std::uint32_t sum = tupleChecksum(*t);
         ctx.storeField(t->checksum, sum, DataClass::User);
-        dirty.emplace_back(off + offsetof(Tuple, seq), 16);
+        txn.dirty.emplace_back(off + offsetof(Tuple, seq), 16);
     }
 
     void
-    ycsbTx(pm::PmContext &ctx, unsigned p, Rng &rng,
+    ycsbTx(pm::PmContext &ctx, const PartRef &pr, Rng &rng,
            const ZipfianGenerator &zipf)
     {
-        const PartRef pr = partRef(p);
-        const TxId tx = ctx.txBegin();
-        const Addr undo_seg = acquireUndoSegment(pr);
-        const std::uint64_t undo_seq = undoActivate(ctx, pr, undo_seg);
-        Addr undo_head = undo_seg;
-        std::vector<std::pair<Addr, std::uint32_t>> dirty;
-
-        // Four YCSB operations per transaction, 80% writes.
-        for (int op = 0; op < 4; op++) {
-            const std::uint64_t key = zipf.next(rng);
-            const Addr off = findTuple(ctx, pr, key);
-            if (off == kNullAddr)
-                continue;
-            if (rng.chance(0.8)) {
-                // A YCSB update rewrites the whole 10-field value.
-                updateTuple(ctx, pr, off, rng, undo_head, undo_seq, 9,
-                            dirty);
-            } else {
-                Tuple t{};
-                ctx.load(off, &t, sizeof(t));
-                ctx.compute(40);
+        transact(ctx, pr, [&](Txn &txn) {
+            // Four YCSB operations per transaction, 80% writes.
+            for (int op = 0; op < 4; op++) {
+                const std::uint64_t key = zipf.next(rng);
+                const Addr off = findTuple(ctx, pr, key);
+                if (off == kNullAddr)
+                    continue;
+                if (rng.chance(0.8)) {
+                    // A YCSB update rewrites the whole 10-field value.
+                    updateTuple(ctx, pr, off, rng, txn, 9);
+                } else {
+                    Tuple t{};
+                    ctx.load(off, &t, sizeof(t));
+                    ctx.compute(40);
+                }
             }
-        }
-
-        // Commit: flush updated tuples, fence once, clear the log.
-        for (const auto &[off, n] : dirty)
-            ctx.flush(off, n);
-        ctx.fence(FenceKind::Durability);
-        undoRetire(ctx, pr);
-        ctx.txEnd(tx);
+        });
     }
 
     void
-    tpccTx(pm::PmContext &ctx, unsigned p, Rng &rng,
+    tpccTx(pm::PmContext &ctx, const PartRef &pr, Rng &rng,
            const ZipfianGenerator &zipf, std::uint64_t op)
     {
-        const PartRef pr = partRef(p);
         const double pick = rng.nextDouble();
         if (pick < 0.6) {
             // New-order: insert an order tuple plus 5..15 order
             // lines, update 5..15 stock rows.
-            const TxId tx = ctx.txBegin();
-            const Addr undo_seg = acquireUndoSegment(pr);
-            const std::uint64_t undo_seq =
-                undoActivate(ctx, pr, undo_seg);
-            Addr undo_head = undo_seg;
-            std::vector<std::pair<Addr, std::uint32_t>> dirty;
-
-            const std::uint64_t lines = rng.range(5, 15);
-            insertTuple(ctx, pr, 1'000'000 + op * 16, rng, &undo_head,
-                        undo_seq);
-            for (std::uint64_t l = 0; l < lines; l++) {
-                insertTuple(ctx, pr, 1'000'000 + op * 16 + 1 + l, rng,
-                            &undo_head, undo_seq);
-                const Addr stock = findTuple(ctx, pr, zipf.next(rng));
-                if (stock != kNullAddr) {
-                    updateTuple(ctx, pr, stock, rng, undo_head,
-                                undo_seq, 8, dirty);
+            transact(ctx, pr, [&](Txn &txn) {
+                const std::uint64_t lines = rng.range(5, 15);
+                insertTuple(ctx, pr, 1'000'000 + op * 16, rng, &txn);
+                for (std::uint64_t l = 0; l < lines; l++) {
+                    insertTuple(ctx, pr, 1'000'000 + op * 16 + 1 + l,
+                                rng, &txn);
+                    const Addr stock =
+                        findTuple(ctx, pr, zipf.next(rng));
+                    if (stock != kNullAddr)
+                        updateTuple(ctx, pr, stock, rng, txn, 8);
                 }
-            }
-            for (const auto &[off, n] : dirty)
-                ctx.flush(off, n);
-            ctx.fence(FenceKind::Durability);
-            undoRetire(ctx, pr);
-            ctx.txEnd(tx);
+            });
         } else if (pick < 0.85) {
             // Payment: update three hot rows.
-            const TxId tx = ctx.txBegin();
-            const Addr undo_seg = acquireUndoSegment(pr);
-            const std::uint64_t undo_seq =
-                undoActivate(ctx, pr, undo_seg);
-            Addr undo_head = undo_seg;
-            std::vector<std::pair<Addr, std::uint32_t>> dirty;
-            for (int i = 0; i < 3; i++) {
-                const Addr off = findTuple(ctx, pr, zipf.next(rng));
-                if (off != kNullAddr)
-                    updateTuple(ctx, pr, off, rng, undo_head,
-                                undo_seq, 6, dirty);
-            }
-            for (const auto &[off, n] : dirty)
-                ctx.flush(off, n);
-            ctx.fence(FenceKind::Durability);
-            undoRetire(ctx, pr);
-            ctx.txEnd(tx);
+            transact(ctx, pr, [&](Txn &txn) {
+                for (int i = 0; i < 3; i++) {
+                    const Addr off =
+                        findTuple(ctx, pr, zipf.next(rng));
+                    if (off != kNullAddr)
+                        updateTuple(ctx, pr, off, rng, txn, 6);
+                }
+            });
         } else {
             // Order-status: read-only.
             for (int i = 0; i < 8; i++) {
@@ -770,22 +740,22 @@ class NstoreApp : public WhisperApp
         }
     }
 
+    /** Every partition of @p sh; stops at the first broken one. */
     bool
-    checkAll(Runtime &rt, std::string *why)
+    checkShard(pm::PmContext &ctx, Shard &sh, std::string *why)
     {
-        pm::PmContext &ctx = rt.ctx(0);
-        for (unsigned p = 0; p < config_.threads; p++) {
-            if (!checkPartitionAt(ctx, partOff(p), why))
+        for (unsigned p = 0; p < sh.lanes; p++) {
+            if (!checkPartition(ctx, part(sh, p), why))
                 return false;
         }
         return true;
     }
 
     bool
-    checkPartitionAt(pm::PmContext &ctx, Addr part_off,
-                     std::string *why)
+    checkPartition(pm::PmContext &ctx, const PartRef &pr,
+                   std::string *why)
     {
-        Partition *part = ctx.pool().at<Partition>(part_off);
+        const Partition *part = partition(ctx, pr);
         if (part->magic != Partition::kMagic) {
             if (why)
                 *why = "bad partition magic";
@@ -825,211 +795,150 @@ class NstoreApp : public WhisperApp
         return true;
     }
 
-    // ---- Unified workload driver surface ------------------------------
-    //
-    // N-store is partitioned by design; the workload keeps that shape
-    // but gives every thread a fully private shard: partition header,
-    // undo log *and* buddy heap over a disjoint pool slice (run()
-    // shares one global heap, whose allocation cost depends on cross-
-    // thread interleaving and would break digest determinism). Each
-    // put/rmw runs as a one-operation OPTWAL transaction: publish an
-    // undo segment, journal the old images, update in place, flush,
-    // fence, retire the log with one pointer write.
-
-    /** Query parsing / plan caching, matching run()'s per-op shape. */
+    /** scrubLayer() for one shard: claims (and erases from @p lines)
+     *  every line of the shard's headers, undo logs and heap. */
     void
-    wlPad(pm::PmContext &ctx, std::uint64_t key)
+    scrubShard(pm::PmContext &ctx, Shard &sh,
+               std::vector<LineAddr> &lines, VerifyReport &rep)
     {
-        ctx.vBurst(&key, 1 << 16, 1000, 420);
-        ctx.compute(2500);
-    }
-
-    PartRef
-    wlRef(ThreadId tid)
-    {
-        WlShard &sh = wlShards_[tid];
-        return {sh.part, sh.undo, sh.heap.get(), &sh.segCursor,
-                &sh.txSeq};
-    }
-
-  public:
-    bool supportsWorkload() const override { return true; }
-
-    void
-    workloadSetup(Runtime &rt, const core::WorkloadKeymap &map) override
-    {
-        wlMap_ = map;
-        wlShards_.clear();
-        wlShards_.resize(map.threads);
-        const Addr region = lineBase(config_.poolBytes / map.threads);
-        const Addr part_bytes =
-            lineBase(sizeof(Partition) + kCacheLineSize);
-        panic_if(region <=
-                     part_bytes + kUndoLogBytes + (4u << 20),
-                 "nstore workload: pool too small for %u shards",
-                 map.threads);
-        for (unsigned t = 0; t < map.threads; t++) {
-            pm::PmContext &ctx = rt.ctx(t);
-            WlShard &sh = wlShards_[t];
-            sh.part = static_cast<Addr>(t) * region;
-            sh.undo = sh.part + part_bytes;
-            const Addr heap_off =
-                lineBase(sh.undo + kUndoLogBytes + kCacheLineSize);
-            sh.heap = std::make_unique<alloc::BuddyAllocator>(
-                ctx, heap_off, sh.part + region - heap_off);
-
-            Partition hdr{};
-            hdr.magic = Partition::kMagic;
-            hdr.activeLog = kNullAddr;
-            for (auto &slot : hdr.index)
-                slot = kNullAddr;
-            ctx.store(sh.part, &hdr, sizeof(hdr), DataClass::User);
-            ctx.flush(sh.part, sizeof(hdr));
-            UndoRec end{UndoRec::kMagic, 0, 0, 0, 0, 0};
-            ctx.store(sh.undo, &end, sizeof(end), DataClass::Log);
-            ctx.flush(sh.undo, sizeof(end));
-            ctx.fence(FenceKind::Durability);
-
-            const PartRef pr = wlRef(t);
-            Rng rng(config_.seed + t);
-            for (std::uint64_t i = 0; i < map.perThread(); i++)
-                insertTuple(ctx, pr, map.lo(t) + i, rng, nullptr);
+        const Addr undo_end =
+            sh.undoOff + static_cast<Addr>(sh.lanes) * kUndoLogBytes;
+        const Addr heap_end = sh.heapOff + sh.heap->heapSize();
+        std::vector<LineAddr> part_lines, undo_lines, heap_lines,
+            rest;
+        for (const LineAddr line : lines) {
+            const Addr off = static_cast<Addr>(line) << kCacheLineBits;
+            if (off >= sh.base && off < sh.undoOff)
+                part_lines.push_back(line);
+            else if (off >= sh.undoOff && off < undo_end)
+                undo_lines.push_back(line);
+            else if (off >= sh.heapOff && off < heap_end)
+                heap_lines.push_back(line);
+            else
+                rest.push_back(line);
         }
-    }
 
-    bool
-    workloadGet(pm::PmContext &ctx, ThreadId tid,
-                std::uint64_t key) override
-    {
-        wlPad(ctx, key);
-        const Addr off = findTuple(ctx, wlRef(tid), key);
-        if (off == kNullAddr)
+        std::vector<bool> recount(sh.lanes, false);
+        bool undo_lost = false;
+        for (const LineAddr line : part_lines) {
+            const Addr lo = static_cast<Addr>(line) << kCacheLineBits;
+            const unsigned p = static_cast<unsigned>(
+                (lo - sh.base) / kPartitionBytes);
+            const Addr base = part(sh, p).part;
+            const Addr hi =
+                std::min<Addr>(lo + kCacheLineSize,
+                               base + sizeof(Partition));
+            for (Addr w = lo; w < hi; w += 8) {
+                const Addr rel = w - base;
+                if (rel == offsetof(Partition, magic)) {
+                    const std::uint64_t magic = Partition::kMagic;
+                    ctx.store(w, &magic, 8, DataClass::User);
+                } else if (rel == offsetof(Partition, tupleCount)) {
+                    recount[p] = true;
+                } else if (rel == offsetof(Partition, activeLog)) {
+                    const Addr null = kNullAddr;
+                    ctx.store(w, &null, 8, DataClass::TxMeta);
+                    undo_lost = true;
+                } else if (rel == offsetof(Partition, activeSeq)) {
+                    // Zero is fine once activeLog is retired.
+                } else if (rel >= offsetof(Partition, index)) {
+                    const Addr null = kNullAddr;
+                    ctx.store(w, &null, 8, DataClass::User);
+                }
+            }
+            if (hi > lo)
+                ctx.persist(lo, hi - lo);
+        }
+
+        // Undo records matter only inside a published segment; a
+        // zero-filled record there stops rollback's walk early and
+        // later in-flight updates may persist torn (the checksums
+        // report it, covered by the Degraded entry below).
+        std::vector<LineAddr> active_lost;
+        for (const LineAddr line : undo_lines) {
+            const Addr off = static_cast<Addr>(line) << kCacheLineBits;
+            const unsigned p = static_cast<unsigned>(
+                (off - sh.undoOff) / kUndoLogBytes);
+            const Addr seg = partition(ctx, part(sh, p))->activeLog;
+            if (seg != kNullAddr && off >= seg &&
+                off < seg + kUndoSegmentBytes) {
+                active_lost.push_back(line);
+            }
+        }
+
+        const auto node_lost = [&](Addr off, std::size_t n) {
+            if (off < sh.heapOff + sizeof(alloc::BuddyHeader) ||
+                off + n > heap_end)
+                return true;
+            for (LineAddr l = lineOf(off); l <= lineOf(off + n - 1);
+                 l++) {
+                if (std::find(heap_lines.begin(), heap_lines.end(),
+                              l) != heap_lines.end())
+                    return true;
+            }
             return false;
-        Tuple t{};
-        ctx.load(off, &t, sizeof(t));
-        ctx.compute(40);
-        return true;
-    }
-
-    void
-    workloadPut(pm::PmContext &ctx, ThreadId tid, std::uint64_t key,
-                std::uint64_t value) override
-    {
-        wlPad(ctx, key);
-        const PartRef pr = wlRef(tid);
-        const TxId tx = ctx.txBegin();
-        const Addr undo_seg = acquireUndoSegment(pr);
-        const std::uint64_t undo_seq = undoActivate(ctx, pr, undo_seg);
-        Addr undo_head = undo_seg;
-        std::vector<std::pair<Addr, std::uint32_t>> dirty;
-
-        const Addr off = findTuple(ctx, pr, key);
-        Rng vrng(value ^ key);
-        if (off != kNullAddr)
-            updateTuple(ctx, pr, off, vrng, undo_head, undo_seq, 9,
-                        dirty);
-        else
-            insertTuple(ctx, pr, key, vrng, &undo_head, undo_seq);
-
-        for (const auto &[doff, n] : dirty)
-            ctx.flush(doff, n);
-        ctx.fence(FenceKind::Durability);
-        undoRetire(ctx, pr);
-        ctx.txEnd(tx);
-    }
-
-    bool
-    workloadRmw(pm::PmContext &ctx, ThreadId tid, std::uint64_t key,
-                std::uint64_t delta) override
-    {
-        wlPad(ctx, key);
-        const PartRef pr = wlRef(tid);
-        const Addr off = findTuple(ctx, pr, key);
-        if (off == kNullAddr) {
-            workloadPut(ctx, tid, key, delta);
-            return false;
+        };
+        std::uint64_t chains_cut = 0;
+        for (unsigned p = 0; p < sh.lanes; p++) {
+            std::uint64_t reachable = 0;
+            for (std::uint64_t b = 0; b < kIndexBuckets; b++) {
+                Addr slot = part(sh, p).part +
+                            offsetof(Partition, index) + b * sizeof(Addr);
+                Addr cur = 0;
+                ctx.load(slot, &cur, 8);
+                while (cur != kNullAddr) {
+                    if (node_lost(cur, sizeof(Tuple))) {
+                        const Addr null = kNullAddr;
+                        ctx.store(slot, &null, 8, DataClass::User);
+                        ctx.persist(slot, 8);
+                        chains_cut++;
+                        break;
+                    }
+                    reachable++;
+                    const Tuple *t = ctx.pool().at<Tuple>(cur);
+                    slot = cur + offsetof(Tuple, next);
+                    cur = t->next;
+                }
+            }
+            if (recount[p]) {
+                const Addr w =
+                    part(sh, p).part + offsetof(Partition, tupleCount);
+                ctx.store(w, &reachable, 8, DataClass::User);
+                ctx.persist(w, 8);
+            }
         }
-        Tuple t{};
-        ctx.load(off, &t, sizeof(t));
 
-        const TxId tx = ctx.txBegin();
-        const Addr undo_seg = acquireUndoSegment(pr);
-        const std::uint64_t undo_seq = undoActivate(ctx, pr, undo_seg);
-        Addr undo_head = undo_seg;
-        std::vector<std::pair<Addr, std::uint32_t>> dirty;
-        Rng vrng(delta ^ t.seq);
-        updateTuple(ctx, pr, off, vrng, undo_head, undo_seq, 3, dirty);
-        for (const auto &[doff, n] : dirty)
-            ctx.flush(doff, n);
-        ctx.fence(FenceKind::Durability);
-        undoRetire(ctx, pr);
-        ctx.txEnd(tx);
-        return true;
-    }
-
-    std::uint64_t
-    workloadScan(pm::PmContext &ctx, ThreadId tid, std::uint64_t key,
-                 std::uint64_t len) override
-    {
-        wlPad(ctx, key);
-        const PartRef pr = wlRef(tid);
-        std::uint64_t found = 0;
-        for (std::uint64_t j = 0; j < len; j++) {
-            const Addr off =
-                findTuple(ctx, pr, wlMap_.scanKey(tid, key, j));
-            if (off == kNullAddr)
-                continue;
-            Tuple t{};
-            ctx.load(off, &t, sizeof(t));
-            found++;
+        if (!part_lines.empty()) {
+            rep.degrade(
+                "nstore-partition-lost",
+                undo_lost
+                    ? "partition header repaired; a published undo "
+                      "descriptor was lost, so the in-flight "
+                      "transaction cannot roll back"
+                    : "partition header words repaired on "
+                      "zero-filled lines",
+                part_lines);
         }
-        return found;
-    }
-
-    VerifyReport
-    workloadCheck(Runtime &rt) override
-    {
-        VerifyReport rep = report();
-        for (unsigned t = 0; t < wlMap_.threads; t++) {
-            std::string why;
-            rep.check(checkPartitionAt(rt.ctx(t), wlShards_[t].part,
-                                       &why),
-                      "tables-intact", why);
-            rep.check(ctx_activeLogRetired(rt.ctx(t), wlShards_[t].part),
-                      "undo-retired", "workload shard " +
-                          std::to_string(t) +
-                          " still publishes an active undo log");
+        if (!active_lost.empty()) {
+            rep.degrade("nstore-undo-record-lost",
+                        "records in a published undo segment "
+                        "zero-filled; rollback stops at the first "
+                        "lost record",
+                        active_lost);
         }
-        return rep;
+        if (chains_cut > 0) {
+            rep.degrade("nstore-chain-lost",
+                        std::to_string(chains_cut) +
+                            " index chain(s) truncated at "
+                            "media-lost tuples",
+                        heap_lines);
+        }
+        lines = std::move(rest);
     }
-
-  private:
-    bool
-    ctx_activeLogRetired(pm::PmContext &ctx, Addr part_off)
-    {
-        return ctx.pool().at<Partition>(part_off)->activeLog ==
-               kNullAddr;
-    }
-
-    struct WlShard
-    {
-        Addr part = 0;
-        Addr undo = 0;
-        std::uint32_t segCursor = 0;
-        std::uint64_t txSeq = 1;
-        std::unique_ptr<alloc::BuddyAllocator> heap;
-    };
 
     NstoreWorkload workload_;
-    Addr partitionsOff_ = 0;
-    std::size_t partitionBytes_ = 0;
-    Addr undoOff_ = 0;
-    Addr heapOff_ = 0;
-    std::vector<std::uint32_t> segCursor_;
-    std::vector<std::uint64_t> txSeq_;
-    std::unique_ptr<alloc::BuddyAllocator> heap_;
-    core::WorkloadKeymap wlMap_;
-    std::vector<WlShard> wlShards_;
+    std::vector<Shard> shards_;
+    core::WorkloadKeymap keymap_;
 };
 
 } // namespace

@@ -20,6 +20,7 @@
 #include <bit>
 #include <mutex>
 
+#include "alloc/slab_alloc.hh"
 #include "apps/apps.hh"
 #include "common/logging.hh"
 #include "txlib/mnemosyne.hh"
@@ -75,6 +76,13 @@ struct Customer
     Addr reservations;
 };
 
+/**
+ * The customer table is one pmalloc block, so it can hold at most
+ * the slab allocator's largest class worth of customers.
+ */
+constexpr std::uint64_t kMaxCustomers =
+    alloc::SlabAllocator::kClasses.back() / sizeof(Customer);
+
 /** Persistent root. */
 struct VacationRoot
 {
@@ -105,52 +113,36 @@ class VacationApp : public WhisperApp
     setup(Runtime &rt) override
     {
         pm::PmContext &ctx = rt.ctx(0);
-        rootOff_ = 0;
-        const Addr heap_base =
-            lineBase(sizeof(VacationRoot) + kCacheLineSize);
-        heap_ = std::make_unique<mne::MnemosyneHeap>(
-            ctx, heap_base, config_.poolBytes - heap_base,
-            config_.threads);
-
-        // Power of two so the scrambled load order is a bijection
-        // (no duplicate item ids).
-        itemCount_ = std::bit_floor(std::max<std::uint64_t>(
-            256, std::min<std::uint64_t>(config_.opsPerThread * 2,
-                                         16384)));
-        customerCount_ = std::max<std::uint64_t>(64, itemCount_ / 4);
-
-        VacationRoot root{};
-        root.magic = VacationRoot::kMagic;
-        for (auto &t : root.itemTrees)
-            t = kNullAddr;
-        root.customerCount = customerCount_;
-        ctx.store(rootOff_, &root, sizeof(root), DataClass::User);
-        ctx.flush(rootOff_, sizeof(root));
-        ctx.fence(FenceKind::Durability);
+        shards_.clear();
+        const std::uint64_t items = itemCount();
+        format(ctx, 0, config_.poolBytes, config_.threads,
+               std::min(std::max<std::uint64_t>(64, items / 4),
+                        kMaxCustomers));
+        Shard &sh = shards_[0];
 
         // Customer table: a contiguous persistent array.
         const Addr cust_off =
-            heap_->pmalloc(ctx, customerCount_ * sizeof(Customer));
+            sh.heap->pmalloc(ctx, sh.customers * sizeof(Customer));
         panic_if(cust_off == kNullAddr, "vacation: customer table");
-        for (std::uint64_t c = 0; c < customerCount_; c++) {
+        for (std::uint64_t c = 0; c < sh.customers; c++) {
             Customer cust{c, kNullAddr};
             ctx.store(cust_off + c * sizeof(Customer), &cust,
                       sizeof(cust), DataClass::User);
         }
-        ctx.flush(cust_off, customerCount_ * sizeof(Customer));
-        VacationRoot *r = this->root(ctx);
+        ctx.flush(cust_off, sh.customers * sizeof(Customer));
+        VacationRoot *r = root(ctx, sh);
         ctx.storeField(r->customersOff, cust_off, DataClass::User);
-        ctx.flush(rootOff_ + offsetof(VacationRoot, customersOff), 8);
+        ctx.flush(sh.rootOff + offsetof(VacationRoot, customersOff), 8);
         ctx.fence(FenceKind::Durability);
 
         // Populate the three item trees (setup phase; plain persists).
         Rng rng(config_.seed);
         for (int t = 0; t < 3; t++) {
-            ScrambledSequence order(itemCount_, rng);
-            for (std::uint64_t i = 0; i < itemCount_; i++) {
-                insertItemSetup(ctx, static_cast<ItemType>(t),
-                                order.at(i), 4 + rng.next(4),
-                                50 + rng.next(450));
+            ScrambledSequence order(items, rng);
+            for (std::uint64_t i = 0; i < items; i++) {
+                insertItem(ctx, sh, static_cast<ItemType>(t),
+                           order.at(i), 4 + rng.next(4),
+                           50 + rng.next(450));
             }
         }
     }
@@ -159,20 +151,20 @@ class VacationApp : public WhisperApp
     run(Runtime &rt, pm::PmContext &ctx, ThreadId tid) override
     {
         (void)rt;
+        Shard &sh = shards_[0];
+        const std::uint64_t items = itemCount();
         Rng rng(config_.seed * 17 + tid);
         for (std::uint64_t op = 0; op < config_.opsPerThread; op++) {
             const auto type = static_cast<ItemType>(rng.next(3));
-            const std::uint64_t item_id = rng.next(itemCount_);
-            const std::uint64_t cust_id = rng.next(customerCount_);
-            // Client-side query planning and STAMP's volatile
-            // manager tables (paper Fig. 6: vacation is the most
-            // DRAM-heavy app at ~0.4% PM accesses).
-            ctx.vBurst(&item_id, 1 << 15, 2100, 900);
-            ctx.compute(9000);
-            if (rng.chance(0.8))
-                makeReservation(ctx, type, item_id, cust_id);
+            const std::uint64_t item_id = rng.next(items);
+            const std::uint64_t cust_id = rng.next(sh.customers);
+            pad(ctx, &item_id);
+            const bool reserve = rng.chance(0.8);
+            std::lock_guard<std::mutex> guard(runLock_);
+            if (reserve)
+                makeReservation(ctx, sh, type, item_id, cust_id);
             else
-                cancelReservation(ctx, type, cust_id);
+                cancelReservation(ctx, sh, type, cust_id);
         }
     }
 
@@ -180,55 +172,203 @@ class VacationApp : public WhisperApp
     verify(Runtime &rt) override
     {
         VerifyReport rep = report();
-        std::string why;
-        rep.check(checkAll(rt, &why), "tables-intact", why);
+        for (const Shard &sh : shards_) {
+            std::string why;
+            rep.check(checkAll(rt.ctx(0), sh, &why), "tables-intact",
+                      why);
+        }
         return rep;
     }
 
     void
     recover(Runtime &rt) override
     {
-        heap_->recover(rt.ctx(0));
-    }
-
-    VerifyReport
-    verifyRecovered(Runtime &rt) override
-    {
-        VerifyReport rep = report();
-        std::string why;
-        rep.check(checkAll(rt, &why), "tables-intact", why);
-        return rep;
+        for (Shard &sh : shards_)
+            sh.heap->recover(rt.ctx(0));
     }
 
     VerifyReport
     checkRecoveryInvariants(Runtime &rt) override
     {
         VerifyReport rep = report();
-        std::string why;
-        rep.check(heap_->logsQuiescent(rt.ctx(0), &why),
-                  "logs-quiescent", why);
+        for (unsigned t = 0; t < shards_.size(); t++) {
+            std::string why;
+            rep.check(shards_[t].heap->logsQuiescent(rt.ctx(t), &why),
+                      "logs-quiescent", why);
+        }
         return rep;
     }
+
+    /** @{ \name Generated-workload surface
+     *
+     * The KV workload maps onto the item tables: a key is an item id
+     * in a per-thread car tree, the value is its price. Each workload
+     * thread owns a private shard over a disjoint pool slice (the
+     * STAMP suite's data-partitioned client mode), so op costs do not
+     * depend on cross-thread interleaving. Workload shards have no
+     * customers, so their reservation counters stay zero.
+     */
+
+    void
+    workloadSetup(Runtime &rt, const core::WorkloadKeymap &map) override
+    {
+        keymap_ = map;
+        shards_.clear();
+        const Addr region = lineBase(config_.poolBytes / map.threads);
+        panic_if(region <= sizeof(VacationRoot) + (2u << 20),
+                 "vacation workload: pool too small for %u shards",
+                 map.threads);
+        for (unsigned t = 0; t < map.threads; t++) {
+            pm::PmContext &ctx = rt.ctx(t);
+            const Addr base = static_cast<Addr>(t) * region;
+            format(ctx, base, base + region, 1, 0);
+
+            // Scrambled insertion order keeps the BST shallow
+            // (sequential order would degrade it to a linked list).
+            Rng order_rng(config_.seed ^ (0xace1ull + t));
+            ScrambledSequence order(map.perThread(), order_rng);
+            for (std::uint64_t i = 0; i < map.perThread(); i++) {
+                const std::uint64_t key = map.lo(t) + order.at(i);
+                insertItem(ctx, shards_[t], kCar, key, 4,
+                           key * 0x9e3779b97f4a7c15ull);
+            }
+        }
+    }
+
+    bool
+    workloadGet(pm::PmContext &ctx, ThreadId tid,
+                std::uint64_t key) override
+    {
+        pad(ctx, &key);
+        return findItem(ctx, shards_[tid], kCar, key) != kNullAddr;
+    }
+
+    void
+    workloadPut(pm::PmContext &ctx, ThreadId tid, std::uint64_t key,
+                std::uint64_t value) override
+    {
+        Shard &sh = shards_[tid];
+        pad(ctx, &key);
+        const Addr off = findItem(ctx, sh, kCar, key);
+        if (off != kNullAddr)
+            updatePriceTx(ctx, sh, off, value);
+        else
+            insertItemTx(ctx, sh, key, value);
+    }
+
+    bool
+    workloadRmw(pm::PmContext &ctx, ThreadId tid, std::uint64_t key,
+                std::uint64_t delta) override
+    {
+        Shard &sh = shards_[tid];
+        pad(ctx, &key);
+        const Addr off = findItem(ctx, sh, kCar, key);
+        if (off == kNullAddr) {
+            insertItemTx(ctx, sh, key, delta);
+            return false;
+        }
+        std::uint64_t price = 0;
+        ctx.load(off + offsetof(Item, price), &price, 8);
+        updatePriceTx(ctx, sh, off, price + delta);
+        return true;
+    }
+
+    std::uint64_t
+    workloadScan(pm::PmContext &ctx, ThreadId tid, std::uint64_t key,
+                 std::uint64_t len) override
+    {
+        pad(ctx, &key);
+        std::uint64_t found = 0;
+        for (std::uint64_t j = 0; j < len; j++) {
+            if (findItem(ctx, shards_[tid], kCar,
+                         keymap_.scanKey(tid, key, j)) != kNullAddr)
+                found++;
+        }
+        return found;
+    }
+
+    /** @} */
 
   protected:
     void
     scrubLayer(Runtime &rt, std::vector<LineAddr> &lines,
                VerifyReport &rep) override
     {
-        heap_->scrub(rt.ctx(0), lines, rep);
+        for (Shard &sh : shards_)
+            sh.heap->scrub(rt.ctx(0), lines, rep);
     }
 
   private:
-    VacationRoot *root(pm::PmContext &ctx) { return ctx.pool()
-        .at<VacationRoot>(rootOff_); }
-
-    /** Setup-phase BST insert (persist as we go, no transactions). */
-    void
-    insertItemSetup(pm::PmContext &ctx, ItemType type,
-                    std::uint64_t id, std::uint32_t total,
-                    std::uint64_t price)
+    /** One set of tables: root, Mnemosyne heap, customer count. */
+    struct Shard
     {
-        const Addr off = heap_->pmalloc(ctx, sizeof(Item));
+        Addr rootOff = 0;
+        std::uint64_t customers = 0;
+        std::unique_ptr<mne::MnemosyneHeap> heap;
+    };
+
+    /**
+     * Format empty tables over [@p base, @p end): the root at
+     * @p base, then a Mnemosyne heap with @p lanes redo-log lanes.
+     * The @p customers-entry table itself is setup()'s to allocate.
+     */
+    void
+    format(pm::PmContext &ctx, Addr base, Addr end, unsigned lanes,
+           std::uint64_t customers)
+    {
+        Shard sh;
+        sh.rootOff = base;
+        sh.customers = customers;
+        const Addr heap_base =
+            lineBase(base + sizeof(VacationRoot) + kCacheLineSize);
+        sh.heap = std::make_unique<mne::MnemosyneHeap>(
+            ctx, heap_base, end - heap_base, lanes);
+
+        VacationRoot root{};
+        root.magic = VacationRoot::kMagic;
+        for (auto &tree : root.itemTrees)
+            tree = kNullAddr;
+        root.customersOff = kNullAddr;
+        root.customerCount = customers;
+        ctx.store(base, &root, sizeof(root), DataClass::User);
+        ctx.flush(base, sizeof(root));
+        ctx.fence(FenceKind::Durability);
+        shards_.push_back(std::move(sh));
+    }
+
+    /** Items per table; a power of two so the scrambled load order is
+     *  a bijection (no duplicate item ids). */
+    std::uint64_t
+    itemCount() const
+    {
+        return std::bit_floor(std::max<std::uint64_t>(
+            256, std::min<std::uint64_t>(config_.opsPerThread * 2,
+                                         16384)));
+    }
+
+    /** Client-side query planning and STAMP's volatile manager
+     *  tables (paper Fig. 6: vacation is the most DRAM-heavy app at
+     *  ~0.4% PM accesses). */
+    static void
+    pad(pm::PmContext &ctx, const void *base)
+    {
+        ctx.vBurst(base, 1 << 15, 2100, 900);
+        ctx.compute(9000);
+    }
+
+    VacationRoot *
+    root(pm::PmContext &ctx, const Shard &sh)
+    {
+        return ctx.pool().at<VacationRoot>(sh.rootOff);
+    }
+
+    /** Load-phase BST insert (persist as we go, no transactions). */
+    void
+    insertItem(pm::PmContext &ctx, Shard &sh, ItemType type,
+               std::uint64_t id, std::uint32_t total,
+               std::uint64_t price)
+    {
+        const Addr off = sh.heap->pmalloc(ctx, sizeof(Item));
         panic_if(off == kNullAddr, "vacation heap exhausted");
         Item it{};
         it.id = id;
@@ -241,19 +381,14 @@ class VacationApp : public WhisperApp
         ctx.flush(off, sizeof(it));
         ctx.fence(FenceKind::Ordering);
 
-        VacationRoot *r = root(ctx);
-        Addr *link = &r->itemTrees[type];
-        Addr link_off = rootOff_ + offsetof(VacationRoot, itemTrees) +
+        Addr link_off = sh.rootOff + offsetof(VacationRoot, itemTrees) +
                         type * sizeof(Addr);
-        while (*link != kNullAddr) {
-            Item *node = ctx.pool().at<Item>(*link);
-            if (id < node->id) {
-                link_off = *link + offsetof(Item, left);
-                link = &node->left;
-            } else {
-                link_off = *link + offsetof(Item, right);
-                link = &node->right;
-            }
+        Addr cur = *ctx.pool().at<Addr>(link_off);
+        while (cur != kNullAddr) {
+            const Item *node = ctx.pool().at<Item>(cur);
+            link_off = cur + (id < node->id ? offsetof(Item, left)
+                                            : offsetof(Item, right));
+            cur = *ctx.pool().at<Addr>(link_off);
         }
         ctx.store(link_off, &off, 8, DataClass::User);
         ctx.flush(link_off, 8);
@@ -261,9 +396,10 @@ class VacationApp : public WhisperApp
     }
 
     Addr
-    findItem(pm::PmContext &ctx, ItemType type, std::uint64_t id)
+    findItem(pm::PmContext &ctx, const Shard &sh, ItemType type,
+             std::uint64_t id)
     {
-        Addr cur = root(ctx)->itemTrees[type];
+        Addr cur = root(ctx, sh)->itemTrees[type];
         while (cur != kNullAddr) {
             Item probe{};
             ctx.load(cur, &probe, sizeof(probe));
@@ -275,23 +411,22 @@ class VacationApp : public WhisperApp
     }
 
     Customer *
-    customer(pm::PmContext &ctx, std::uint64_t cust_id)
+    customer(pm::PmContext &ctx, const Shard &sh, std::uint64_t cust_id)
     {
-        const Addr base = root(ctx)->customersOff;
+        const Addr base = root(ctx, sh)->customersOff;
         return ctx.pool().at<Customer>(base +
                                        cust_id * sizeof(Customer));
     }
 
     void
-    makeReservation(pm::PmContext &ctx, ItemType type,
+    makeReservation(pm::PmContext &ctx, Shard &sh, ItemType type,
                     std::uint64_t item_id, std::uint64_t cust_id)
     {
-        std::lock_guard<std::mutex> guard(tableLock_);
-        const Addr item_off = findItem(ctx, type, item_id);
+        const Addr item_off = findItem(ctx, sh, type, item_id);
         if (item_off == kNullAddr)
             return;
 
-        mne::Transaction tx(*heap_, ctx);
+        mne::Transaction tx(*sh.heap, ctx);
         const std::uint32_t num_free =
             tx.get(ctx.pool().at<Item>(item_off)->numFree);
         if (num_free == 0) {
@@ -317,7 +452,7 @@ class VacationApp : public WhisperApp
             tx.abort();
             return;
         }
-        Customer *cust = customer(ctx, cust_id);
+        Customer *cust = customer(ctx, sh, cust_id);
         Reservation res{static_cast<std::uint32_t>(type), 0, item_id,
                         staged.price, tx.get(cust->reservations)};
         tx.update(res_off, &res, sizeof(res), DataClass::User);
@@ -325,7 +460,7 @@ class VacationApp : public WhisperApp
 
         // The global counter: every thread's transactions write this
         // one cache line (the paper's cross-dependency source).
-        VacationRoot *r = root(ctx);
+        VacationRoot *r = root(ctx, sh);
         const std::uint64_t count = tx.get(r->totalReserved[type]) + 1;
         tx.set(r->totalReserved[type], count, DataClass::User);
 
@@ -333,11 +468,10 @@ class VacationApp : public WhisperApp
     }
 
     void
-    cancelReservation(pm::PmContext &ctx, ItemType type,
+    cancelReservation(pm::PmContext &ctx, Shard &sh, ItemType type,
                       std::uint64_t cust_id)
     {
-        std::lock_guard<std::mutex> guard(tableLock_);
-        Customer *cust = customer(ctx, cust_id);
+        Customer *cust = customer(ctx, sh, cust_id);
         // Find the first reservation of this type.
         Addr holder = ctx.pool().offsetOf(&cust->reservations);
         Addr cur = cust->reservations;
@@ -352,11 +486,11 @@ class VacationApp : public WhisperApp
         if (cur == kNullAddr)
             return;
         const Reservation *res = ctx.pool().at<Reservation>(cur);
-        const Addr item_off = findItem(ctx, type, res->itemId);
+        const Addr item_off = findItem(ctx, sh, type, res->itemId);
         if (item_off == kNullAddr)
             return;
 
-        mne::Transaction tx(*heap_, ctx);
+        mne::Transaction tx(*sh.heap, ctx);
         Item staged{};
         tx.read(item_off, &staged, sizeof(staged));
         staged.numFree++;
@@ -371,7 +505,7 @@ class VacationApp : public WhisperApp
         tx.update(holder, &res->next, 8, DataClass::User);
         tx.pfree(cur);
 
-        VacationRoot *r = root(ctx);
+        VacationRoot *r = root(ctx, sh);
         const std::uint64_t count = tx.get(r->totalReserved[type]) - 1;
         tx.set(r->totalReserved[type], count, DataClass::User);
 
@@ -379,10 +513,9 @@ class VacationApp : public WhisperApp
     }
 
     bool
-    checkAll(Runtime &rt, std::string *why)
+    checkAll(pm::PmContext &ctx, const Shard &sh, std::string *why)
     {
-        pm::PmContext &ctx = rt.ctx(0);
-        VacationRoot *r = root(ctx);
+        VacationRoot *r = root(ctx, sh);
         if (r->magic != VacationRoot::kMagic) {
             if (why)
                 *why = "bad root magic";
@@ -432,8 +565,8 @@ class VacationApp : public WhisperApp
 
         // 2. Customer reservation lists vs the counters and items.
         std::uint64_t reserved_by_lists[3] = {0, 0, 0};
-        for (std::uint64_t c = 0; c < customerCount_; c++) {
-            Addr cur = customer(ctx, c)->reservations;
+        for (std::uint64_t c = 0; c < sh.customers; c++) {
+            Addr cur = customer(ctx, sh, c)->reservations;
             std::uint64_t guard = 0;
             while (cur != kNullAddr) {
                 if (++guard > 10'000'000) {
@@ -463,78 +596,12 @@ class VacationApp : public WhisperApp
         return true;
     }
 
-    // ---- Unified workload driver surface ------------------------------
-    //
-    // The KV workload maps onto the item tables: a key is an item id in
-    // a per-thread car tree, the value is its price. Each workload
-    // thread owns a private root + Mnemosyne heap over a disjoint pool
-    // slice (the STAMP suite's data-partitioned client mode), so op
-    // costs do not depend on cross-thread interleaving. Customers and
-    // the global counters stay a run()-only feature; the workload check
-    // validates tree shape and checksums instead.
-
-    /** DRAM-side query planning, matching run()'s per-op shape. */
-    void
-    wlPad(pm::PmContext &ctx, std::uint64_t key)
-    {
-        ctx.vBurst(&key, 1 << 15, 2100, 900);
-        ctx.compute(9000);
-    }
-
-    Addr
-    findItemAt(pm::PmContext &ctx, Addr root_off, std::uint64_t id)
-    {
-        Addr cur = ctx.pool().at<VacationRoot>(root_off)
-                       ->itemTrees[kCar];
-        while (cur != kNullAddr) {
-            Item probe{};
-            ctx.load(cur, &probe, sizeof(probe));
-            if (probe.id == id)
-                return cur;
-            cur = id < probe.id ? probe.left : probe.right;
-        }
-        return kNullAddr;
-    }
-
-    /** Preload-phase insert into a shard tree (plain persists). */
-    void
-    insertItemSetupAt(pm::PmContext &ctx, mne::MnemosyneHeap &heap,
-                      Addr root_off, std::uint64_t id,
-                      std::uint64_t price)
-    {
-        const Addr off = heap.pmalloc(ctx, sizeof(Item));
-        panic_if(off == kNullAddr, "vacation workload heap exhausted");
-        Item it{};
-        it.id = id;
-        it.numFree = 4;
-        it.numTotal = 4;
-        it.price = price;
-        it.left = it.right = kNullAddr;
-        it.checksum = itemChecksum(it);
-        ctx.store(off, &it, sizeof(it), DataClass::User);
-        ctx.flush(off, sizeof(it));
-        ctx.fence(FenceKind::Ordering);
-
-        Addr link_off = root_off + offsetof(VacationRoot, itemTrees) +
-                        kCar * sizeof(Addr);
-        Addr cur = *ctx.pool().at<Addr>(link_off);
-        while (cur != kNullAddr) {
-            const Item *node = ctx.pool().at<Item>(cur);
-            link_off = cur + (id < node->id ? offsetof(Item, left)
-                                            : offsetof(Item, right));
-            cur = *ctx.pool().at<Addr>(link_off);
-        }
-        ctx.store(link_off, &off, 8, DataClass::User);
-        ctx.flush(link_off, 8);
-        ctx.fence(FenceKind::Ordering);
-    }
-
     /** Durable-transaction insert used for workload inserts. */
     void
-    insertItemTx(pm::PmContext &ctx, mne::MnemosyneHeap &heap,
-                 Addr root_off, std::uint64_t id, std::uint64_t price)
+    insertItemTx(pm::PmContext &ctx, Shard &sh, std::uint64_t id,
+                 std::uint64_t price)
     {
-        mne::Transaction tx(heap, ctx);
+        mne::Transaction tx(*sh.heap, ctx);
         const Addr off = tx.pmalloc(sizeof(Item));
         if (off == kNullAddr) {
             tx.abort();
@@ -549,7 +616,7 @@ class VacationApp : public WhisperApp
         it.checksum = itemChecksum(it);
         tx.update(off, &it, sizeof(it), DataClass::User);
 
-        Addr link_off = root_off + offsetof(VacationRoot, itemTrees) +
+        Addr link_off = sh.rootOff + offsetof(VacationRoot, itemTrees) +
                         kCar * sizeof(Addr);
         Addr cur = tx.get(*ctx.pool().at<Addr>(link_off));
         while (cur != kNullAddr) {
@@ -564,10 +631,10 @@ class VacationApp : public WhisperApp
 
     /** Durable-transaction price update (existing item). */
     void
-    updatePriceTx(pm::PmContext &ctx, mne::MnemosyneHeap &heap,
-                  Addr item_off, std::uint64_t price)
+    updatePriceTx(pm::PmContext &ctx, Shard &sh, Addr item_off,
+                  std::uint64_t price)
     {
-        mne::Transaction tx(heap, ctx);
+        mne::Transaction tx(*sh.heap, ctx);
         Item staged{};
         tx.read(item_off, &staged, sizeof(staged));
         staged.price = price;
@@ -579,169 +646,9 @@ class VacationApp : public WhisperApp
         tx.commit();
     }
 
-  public:
-    bool supportsWorkload() const override { return true; }
-
-    void
-    workloadSetup(Runtime &rt, const core::WorkloadKeymap &map) override
-    {
-        wlMap_ = map;
-        wlShards_.clear();
-        wlShards_.resize(map.threads);
-        const Addr region = lineBase(config_.poolBytes / map.threads);
-        panic_if(region <= sizeof(VacationRoot) + (2u << 20),
-                 "vacation workload: pool too small for %u shards",
-                 map.threads);
-        for (unsigned t = 0; t < map.threads; t++) {
-            pm::PmContext &ctx = rt.ctx(t);
-            WlShard &sh = wlShards_[t];
-            sh.rootOff = static_cast<Addr>(t) * region;
-            const Addr heap_base = lineBase(
-                sh.rootOff + sizeof(VacationRoot) + kCacheLineSize);
-            sh.heap = std::make_unique<mne::MnemosyneHeap>(
-                ctx, heap_base, sh.rootOff + region - heap_base, 1);
-
-            VacationRoot root{};
-            root.magic = VacationRoot::kMagic;
-            for (auto &tree : root.itemTrees)
-                tree = kNullAddr;
-            root.customersOff = kNullAddr;
-            ctx.store(sh.rootOff, &root, sizeof(root), DataClass::User);
-            ctx.flush(sh.rootOff, sizeof(root));
-            ctx.fence(FenceKind::Durability);
-
-            // Scrambled insertion order keeps the BST shallow
-            // (sequential order would degrade it to a linked list).
-            Rng order_rng(config_.seed ^ (0xace1ull + t));
-            ScrambledSequence order(map.perThread(), order_rng);
-            for (std::uint64_t i = 0; i < map.perThread(); i++) {
-                const std::uint64_t key = map.lo(t) + order.at(i);
-                insertItemSetupAt(ctx, *sh.heap, sh.rootOff, key,
-                                  key * 0x9e3779b97f4a7c15ull);
-            }
-        }
-    }
-
-    bool
-    workloadGet(pm::PmContext &ctx, ThreadId tid,
-                std::uint64_t key) override
-    {
-        WlShard &sh = wlShards_[tid];
-        wlPad(ctx, key);
-        return findItemAt(ctx, sh.rootOff, key) != kNullAddr;
-    }
-
-    void
-    workloadPut(pm::PmContext &ctx, ThreadId tid, std::uint64_t key,
-                std::uint64_t value) override
-    {
-        WlShard &sh = wlShards_[tid];
-        wlPad(ctx, key);
-        const Addr off = findItemAt(ctx, sh.rootOff, key);
-        if (off != kNullAddr)
-            updatePriceTx(ctx, *sh.heap, off, value);
-        else
-            insertItemTx(ctx, *sh.heap, sh.rootOff, key, value);
-    }
-
-    bool
-    workloadRmw(pm::PmContext &ctx, ThreadId tid, std::uint64_t key,
-                std::uint64_t delta) override
-    {
-        WlShard &sh = wlShards_[tid];
-        wlPad(ctx, key);
-        const Addr off = findItemAt(ctx, sh.rootOff, key);
-        if (off == kNullAddr) {
-            insertItemTx(ctx, *sh.heap, sh.rootOff, key, delta);
-            return false;
-        }
-        std::uint64_t price = 0;
-        ctx.load(off + offsetof(Item, price), &price, 8);
-        updatePriceTx(ctx, *sh.heap, off, price + delta);
-        return true;
-    }
-
-    std::uint64_t
-    workloadScan(pm::PmContext &ctx, ThreadId tid, std::uint64_t key,
-                 std::uint64_t len) override
-    {
-        WlShard &sh = wlShards_[tid];
-        wlPad(ctx, key);
-        std::uint64_t found = 0;
-        for (std::uint64_t j = 0; j < len; j++) {
-            if (findItemAt(ctx, sh.rootOff,
-                           wlMap_.scanKey(tid, key, j)) != kNullAddr)
-                found++;
-        }
-        return found;
-    }
-
-    VerifyReport
-    workloadCheck(Runtime &rt) override
-    {
-        VerifyReport rep = report();
-        for (unsigned t = 0; t < wlMap_.threads; t++) {
-            std::string why;
-            rep.check(checkShardTree(rt.ctx(t), wlShards_[t].rootOff,
-                                     &why),
-                      "tree-intact", why);
-            rep.check(wlShards_[t].heap->logsQuiescent(rt.ctx(t), &why),
-                      "logs-quiescent", why);
-        }
-        return rep;
-    }
-
-  private:
-    /** Shard tree walk: BST order + checksums. */
-    bool
-    checkShardTree(pm::PmContext &ctx, Addr root_off, std::string *why)
-    {
-        const VacationRoot *r = ctx.pool().at<VacationRoot>(root_off);
-        if (r->magic != VacationRoot::kMagic) {
-            if (why)
-                *why = "bad root magic";
-            return false;
-        }
-        std::vector<std::pair<Addr, std::pair<std::uint64_t,
-                                              std::uint64_t>>>
-            stack;
-        if (r->itemTrees[kCar] != kNullAddr)
-            stack.push_back({r->itemTrees[kCar], {0, ~std::uint64_t(0)}});
-        while (!stack.empty()) {
-            auto [off, range] = stack.back();
-            stack.pop_back();
-            const Item *it = ctx.pool().at<Item>(off);
-            if (it->checksum != itemChecksum(*it)) {
-                if (why)
-                    *why = "item checksum mismatch";
-                return false;
-            }
-            if (it->id < range.first || it->id > range.second) {
-                if (why)
-                    *why = "BST order violated";
-                return false;
-            }
-            if (it->left != kNullAddr)
-                stack.push_back({it->left, {range.first, it->id - 1}});
-            if (it->right != kNullAddr)
-                stack.push_back({it->right, {it->id + 1, range.second}});
-        }
-        return true;
-    }
-
-    struct WlShard
-    {
-        Addr rootOff = 0;
-        std::unique_ptr<mne::MnemosyneHeap> heap;
-    };
-
-    std::unique_ptr<mne::MnemosyneHeap> heap_;
-    Addr rootOff_ = 0;
-    std::uint64_t itemCount_ = 0;
-    std::uint64_t customerCount_ = 0;
-    std::mutex tableLock_;
-    core::WorkloadKeymap wlMap_;
-    std::vector<WlShard> wlShards_;
+    std::vector<Shard> shards_;
+    std::mutex runLock_; //!< run()'s threads share shards_[0]
+    core::WorkloadKeymap keymap_;
 };
 
 } // namespace

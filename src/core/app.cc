@@ -21,9 +21,8 @@ accessLayerName(AccessLayer layer)
     return "?";
 }
 
-// Default workload surface: opting in requires overriding all five
-// entry points, so reaching one of these bodies is a harness bug
-// (the driver refuses apps whose supportsWorkload() is false).
+// Default workload surface: an app without one (the fuzzer's
+// `faulty` demo) fails loudly on the first call.
 void
 WhisperApp::workloadSetup(Runtime &rt, const WorkloadKeymap &map)
 {
