@@ -193,6 +193,47 @@ if [[ "$docs_only" == 0 ]]; then
 fi
 
 # ---------------------------------------------------------------
+# Record smoke: every registered app records 2000 ops on one thread
+# and the trace is analyzed, twice. Each step must exit zero, and the
+# two `analyze` outputs must match after their first line (which
+# names the trace file): a single-threaded recording is
+# deterministic. `simulate` is not compared — its DRAM addresses
+# drift between processes.
+# ---------------------------------------------------------------
+if [[ "$docs_only" == 0 ]]; then
+    echo "== record: every app at 2000 ops, analyze twice =="
+    rec_dir=$(mktemp -d /tmp/whisper-record-XXXXXX)
+    record_body() {
+        run_leg build/examples/whisper_cli record "$1" \
+            "$rec_dir/t.bin" 2000 1 >/dev/null &&
+            run_leg build/examples/whisper_cli analyze \
+                "$rec_dir/t.bin" | tail -n +2
+    }
+    record_ok=1
+    rec_apps=$(build/examples/whisper_cli list) || rec_apps=""
+    if [[ -z "$rec_apps" ]]; then
+        echo "FAIL: whisper_cli list printed no apps"
+        record_ok=0
+    fi
+    for app in $rec_apps; do
+        if ! rec_a=$(record_body "$app") ||
+           ! rec_b=$(record_body "$app"); then
+            echo "FAIL: record/analyze of $app exited nonzero"
+            record_ok=0
+        elif [[ -z "$rec_a" || "$rec_a" != "$rec_b" ]]; then
+            echo "FAIL: analyze output of $app differs between runs"
+            record_ok=0
+        fi
+    done
+    rm -rf "$rec_dir"
+    if [[ "$record_ok" == 1 ]]; then
+        echo "ok: every app records and analyzes deterministically"
+    else
+        failures=$((failures + 1))
+    fi
+fi
+
+# ---------------------------------------------------------------
 # Elision equivalence: the same media-fault sweep with and without
 # the txlib elision policy must produce identical per-case
 # VerifyReport verdicts. Crash images, digests and the set of cases

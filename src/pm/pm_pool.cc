@@ -394,16 +394,4 @@ PmPool::poisonedLines() const
     return lines;
 }
 
-void
-PmPool::evictRandomLines(Rng &rng, std::uint64_t n)
-{
-    for (std::uint64_t i = 0; i < n; i++) {
-        const LineAddr line = rng.next(lineStates_.size());
-        if (lineStates_[line].load(std::memory_order_relaxed)) {
-            persistLine(line);
-            stats_.linesEvicted++;
-        }
-    }
-}
-
 } // namespace whisper::pm

@@ -47,7 +47,6 @@ namespace whisper::pm
 struct PoolStats
 {
     std::atomic<std::uint64_t> linesPersisted{0};     //!< drains to durable
-    std::atomic<std::uint64_t> linesEvicted{0};       //!< random evictions
     std::atomic<std::uint64_t> linesSurvivedCrash{0}; //!< kept by a crash
     std::atomic<std::uint64_t> crashes{0};            //!< crash() calls
     std::atomic<std::uint64_t> linesTorn{0};          //!< word-torn at crash
@@ -199,9 +198,6 @@ class PmPool
      * surviving-line set that still breaks recovery.
      */
     void crashWithSurvivors(const std::vector<LineAddr> &survivors);
-
-    /** Randomly evict (persist) up to @p n dirty lines, like a cache. */
-    void evictRandomLines(Rng &rng, std::uint64_t n);
 
     /** @{ Media-fault model (see fault_plan.hh). */
 

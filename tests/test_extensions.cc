@@ -1,9 +1,8 @@
 /**
  * @file
  * Tests for the features that extend the paper: PMFS rename/truncate,
- * the Mnemosyne garbage collector (Consequence 8), the DPO comparison
- * model, PB epoch coalescing, and the trace-file round trip through
- * the full analysis + simulation pipeline.
+ * the DPO comparison model, PB epoch coalescing, and the trace-file
+ * round trip through the full analysis + simulation pipeline.
  */
 
 #include <gtest/gtest.h>
@@ -16,7 +15,6 @@
 #include "pmfs/pmfs.hh"
 #include "sim/simulator.hh"
 #include "trace/trace_io.hh"
-#include "txlib/gc.hh"
 
 namespace whisper
 {
@@ -151,98 +149,6 @@ TEST(PmfsTruncate, SurvivesCrashAfterwards)
     EXPECT_TRUE(fs2.fsck(w.ctx, &why)) << why;
     EXPECT_EQ(fs2.fileSize(w.ctx, fs2.lookup(w.ctx, "/f")),
               pmfs::kBlockSize);
-}
-
-// ------------------------------------------- garbage collection (GC)
-
-struct GcNode
-{
-    std::uint64_t value;
-    Addr next;
-};
-
-TEST(Gc, FreesLeakedKeepsReachable)
-{
-    pm::PmPool pool(64 << 20);
-    LogicalClock clock;
-    trace::TraceBuffer tb(0);
-    pm::PmContext ctx(pool, clock, 0, &tb);
-    mne::MnemosyneHeap heap(ctx, 0, 32 << 20, 1);
-
-    // A reachable chain of three nodes...
-    Addr head = kNullAddr;
-    for (int i = 0; i < 3; i++) {
-        const Addr node = heap.pmalloc(ctx, sizeof(GcNode));
-        GcNode n{static_cast<std::uint64_t>(i), head};
-        ctx.store(node, &n, sizeof(n));
-        ctx.persist(node, sizeof(n));
-        head = node;
-    }
-    // ...plus four leaked allocations (bitmap durable, never linked —
-    // the Mnemosyne crash-leak scenario).
-    std::vector<Addr> leaked;
-    for (int i = 0; i < 4; i++)
-        leaked.push_back(heap.pmalloc(ctx, 64));
-
-    pool.crashHard();
-    ctx.resetPendingState();
-    mne::MnemosyneHeap again(0, 32 << 20, 1);
-    again.recover(ctx);
-    for (const Addr l : leaked)
-        EXPECT_TRUE(again.allocator().isAllocated(l));
-
-    const auto stats = mne::collectGarbage(
-        again, ctx, {head},
-        [](pm::PmContext &c, Addr payload, std::vector<Addr> &out) {
-            out.push_back(c.pool().at<GcNode>(payload)->next);
-        });
-    EXPECT_EQ(stats.reachable, 3u);
-    EXPECT_EQ(stats.freed, 4u);
-    for (const Addr l : leaked)
-        EXPECT_FALSE(again.allocator().isAllocated(l));
-    // The chain survives.
-    Addr cur = head;
-    int seen = 0;
-    while (cur != kNullAddr) {
-        EXPECT_TRUE(again.allocator().isAllocated(cur));
-        cur = ctx.pool().at<GcNode>(cur)->next;
-        seen++;
-    }
-    EXPECT_EQ(seen, 3);
-}
-
-TEST(Gc, EmptyRootsFreesEverything)
-{
-    pm::PmPool pool(64 << 20);
-    LogicalClock clock;
-    pm::PmContext ctx(pool, clock, 0, nullptr);
-    mne::MnemosyneHeap heap(ctx, 0, 32 << 20, 1);
-    for (int i = 0; i < 5; i++)
-        heap.pmalloc(ctx, 64);
-    const auto stats = mne::collectGarbage(
-        heap, ctx, {},
-        [](pm::PmContext &, Addr, std::vector<Addr> &) {});
-    EXPECT_EQ(stats.freed, 5u);
-    EXPECT_EQ(stats.reachable, 0u);
-}
-
-TEST(Gc, StalePointersDoNotResurrect)
-{
-    pm::PmPool pool(64 << 20);
-    LogicalClock clock;
-    pm::PmContext ctx(pool, clock, 0, nullptr);
-    mne::MnemosyneHeap heap(ctx, 0, 32 << 20, 1);
-    const Addr a = heap.pmalloc(ctx, sizeof(GcNode));
-    const Addr b = heap.pmalloc(ctx, sizeof(GcNode));
-    GcNode na{1, b};
-    ctx.store(a, &na, sizeof(na));
-    heap.pfree(ctx, b); // a now holds a dangling reference
-    const auto stats = mne::collectGarbage(
-        heap, ctx, {a},
-        [](pm::PmContext &c, Addr payload, std::vector<Addr> &out) {
-            out.push_back(c.pool().at<GcNode>(payload)->next);
-        });
-    EXPECT_EQ(stats.reachable, 1u); // b must not come back
 }
 
 // ------------------------------------------------ DPO and coalescing
