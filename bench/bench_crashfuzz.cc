@@ -9,6 +9,11 @@
  * bit-identical to the sequential ones — the fuzzer's replayability
  * guarantee.
  *
+ * A second table times one `hashmap` fault sweep (16 cases, jobs 1)
+ * at 8, 48 and 256 MB pools and reports milliseconds per case: device
+ * work that follows the pool size rather than the case shows up as a
+ * rising column.
+ *
  * Scale case counts with WHISPER_OPS (cases per app, default 64);
  * pick job counts with WHISPER_JOBS (comma list, default "2,4").
  */
@@ -100,7 +105,31 @@ main()
     }
     table.print();
 
-    for (const auto &r : sequential) {
+    fuzz::SweepOptions sized;
+    sized.apps = {"hashmap"};
+    sized.cases = 16;
+    sized.config.faults = true;
+    sized.shrinkViolations = false;
+    TextTable per_case("crash-fuzz cost per case vs pool size "
+                       "(hashmap, faults, jobs 1)");
+    per_case.header({"pool MB", "cases", "seconds", "ms/case"});
+    std::vector<fuzz::AppSweepReport> reports = sequential;
+    for (const std::size_t mb : {8, 48, 256}) {
+        sized.config.poolBytes = mb << 20;
+        std::vector<fuzz::AppSweepReport> sweep_out;
+        const double secs = timedSweep(sized, 1, sweep_out);
+        char secs_buf[32], ms_buf[32];
+        std::snprintf(secs_buf, sizeof(secs_buf), "%.3f", secs);
+        std::snprintf(ms_buf, sizeof(ms_buf), "%.1f",
+                      secs * 1000.0 / static_cast<double>(sized.cases));
+        per_case.row({std::to_string(mb), std::to_string(sized.cases),
+                      secs_buf, ms_buf});
+        reports.insert(reports.end(), sweep_out.begin(),
+                       sweep_out.end());
+    }
+    per_case.print();
+
+    for (const auto &r : reports) {
         if (r.violations) {
             std::fprintf(stderr, "unexpected violations in %s\n",
                          r.app.c_str());

@@ -1,9 +1,11 @@
 #include "fuzz/crash_fuzz.hh"
 
 #include <algorithm>
+#include <bit>
 #include <cinttypes>
 #include <cstdio>
 #include <cstdlib>
+#include <cstring>
 
 #include <atomic>
 
@@ -298,20 +300,27 @@ lincheckDumpPath(const FuzzCase &c)
 
 /** @} */
 
-/** Post-recovery architectural-image fingerprint (replay identity). */
+/**
+ * Post-recovery architectural-image fingerprint (replay identity): a
+ * fold over every 8-byte word read big-endian, then over the
+ * big-endian partial tail word (0 when the size is a multiple of 8).
+ */
 std::uint64_t
 imageHash(const pm::PmPool &pool)
 {
     const std::uint8_t *base = pool.archBase();
+    const std::size_t full = pool.size() & ~std::size_t(7);
     std::uint64_t h = 0x1316171ull;
-    std::uint64_t word = 0;
-    for (std::size_t i = 0; i < pool.size(); i++) {
-        word = (word << 8) | base[i];
-        if ((i & 7) == 7) {
-            h = fold(h, word);
-            word = 0;
-        }
+    for (std::size_t i = 0; i < full; i += 8) {
+        std::uint64_t word;
+        std::memcpy(&word, base + i, 8);
+        if constexpr (std::endian::native == std::endian::little)
+            word = __builtin_bswap64(word);
+        h = fold(h, word);
     }
+    std::uint64_t word = 0;
+    for (std::size_t i = full; i < pool.size(); i++)
+        word = (word << 8) | base[i];
     return fold(h, word);
 }
 

@@ -3,24 +3,43 @@
 #include <algorithm>
 #include <cstring>
 
+#include <sys/mman.h>
+
 #include "common/logging.hh"
 
 namespace whisper::pm
 {
 
+void
+PmPool::Unmap::operator()(std::uint8_t *p) const
+{
+    ::munmap(p, bytes);
+}
+
+PmPool::Image
+PmPool::mapImage(std::size_t bytes)
+{
+    // Anonymous private pages read as zero and are only backed (and
+    // zeroed by the kernel) on first touch. calloc() would do the same
+    // only for chunks above glibc's dynamic mmap threshold, which
+    // rises to 32 MB after the first large free.
+    panic_if(bytes == 0, "empty PmPool");
+    void *p = ::mmap(nullptr, bytes, PROT_READ | PROT_WRITE,
+                     MAP_PRIVATE | MAP_ANONYMOUS, -1, 0);
+    panic_if(p == MAP_FAILED, "cannot map a %zu-byte PM image", bytes);
+    return Image(static_cast<std::uint8_t *>(p), Unmap{bytes});
+}
+
 PmPool::PmPool(std::size_t size, const DimmConfig &dimms)
     : size_(size),
       dimms_(dimms),
-      arch_(size, 0),
-      durable_(size, 0),
+      arch_(mapImage(size)),
+      durable_(mapImage(size)),
       lineStates_((size + kCacheLineSize - 1) / kCacheLineSize),
       poisoned_((size + kCacheLineSize - 1) / kCacheLineSize)
 {
-    panic_if(size == 0, "empty PmPool");
-    for (auto &st : lineStates_)
-        st.store(0, std::memory_order_relaxed);
-    for (auto &p : poisoned_)
-        p.store(0, std::memory_order_relaxed);
+    // Both flag vectors value-initialize to 0: every line starts clean
+    // and readable, matching the all-zero images.
 }
 
 void
@@ -36,14 +55,14 @@ PmPool::offsetOf(const void *p) const
 {
     const auto *bytes = static_cast<const std::uint8_t *>(p);
     panic_if(!contains(p), "pointer does not point into the pool");
-    return static_cast<Addr>(bytes - arch_.data());
+    return static_cast<Addr>(bytes - arch_.get());
 }
 
 bool
 PmPool::contains(const void *p) const
 {
     const auto *bytes = static_cast<const std::uint8_t *>(p);
-    return bytes >= arch_.data() && bytes < arch_.data() + size_;
+    return bytes >= arch_.get() && bytes < arch_.get() + size_;
 }
 
 PmPool::ShardGuard::ShardGuard(const PmPool &pool, LineAddr first,
@@ -84,7 +103,7 @@ PmPool::applyStore(Addr off, const void *src, std::size_t n)
     const LineAddr first = lineOf(off);
     const LineAddr last = lineOf(off + n - 1);
     ShardGuard guard(*this, first, last);
-    std::memcpy(arch_.data() + off, src, n);
+    std::memcpy(arch_.get() + off, src, n);
     for (LineAddr line = first; line <= last; line++) {
         lineStates_[line].store(1, std::memory_order_relaxed);
         // Writing a poisoned line re-programs the failed cells (the
@@ -103,10 +122,10 @@ PmPool::applyCas64(Addr off, std::uint64_t expected, std::uint64_t desired)
     const LineAddr line = lineOf(off);
     ShardGuard guard(*this, line, line);
     std::uint64_t cur;
-    std::memcpy(&cur, arch_.data() + off, 8);
+    std::memcpy(&cur, arch_.get() + off, 8);
     if (cur != expected)
         return false;
-    std::memcpy(arch_.data() + off, &desired, 8);
+    std::memcpy(arch_.get() + off, &desired, 8);
     lineStates_[line].store(1, std::memory_order_relaxed);
     if (poisoned_[line].exchange(0, std::memory_order_relaxed))
         stats_.poisonCleared++;
@@ -143,7 +162,7 @@ PmPool::applyLoad(Addr off, void *dst, std::size_t n) const
             throw PmMediaError(base > off ? base : off, line);
         }
     }
-    std::memcpy(dst, arch_.data() + off, n);
+    std::memcpy(dst, arch_.get() + off, n);
 }
 
 void
@@ -160,7 +179,7 @@ PmPool::persistLineLocked(LineAddr line)
 {
     const Addr base = line << kCacheLineBits;
     const std::size_t n = std::min(kCacheLineSize, size_ - base);
-    std::memcpy(durable_.data() + base, arch_.data() + base, n);
+    std::memcpy(durable_.get() + base, arch_.get() + base, n);
     lineStates_[line].store(0, std::memory_order_relaxed);
     stats_.linesPersisted++;
     stats_.dimmLinesPersisted[dimms_.dimmOf(line)]++;
@@ -249,9 +268,17 @@ PmPool::crashHard()
 void
 PmPool::finishCrash()
 {
-    arch_ = durable_;
-    for (auto &st : lineStates_)
-        st.store(0, std::memory_order_relaxed);
+    // Re-mount: reload the arch image from the durable one. A clean
+    // line already holds its durable bytes in both images (the
+    // lineDirty() invariant), so only dirty lines are copied back.
+    for (LineAddr line = 0; line < lineStates_.size(); line++) {
+        if (!lineStates_[line].load(std::memory_order_relaxed))
+            continue;
+        const Addr base = line << kCacheLineBits;
+        const std::size_t n = std::min(kCacheLineSize, size_ - base);
+        std::memcpy(arch_.get() + base, durable_.get() + base, n);
+        lineStates_[line].store(0, std::memory_order_relaxed);
+    }
     stats_.crashes++;
 }
 
@@ -330,10 +357,11 @@ PmPool::crashWithFaults(const std::vector<LineAddr> &survivors,
             const Addr word = base + w * 8;
             if (word + 8 > size_)
                 break;
-            std::memcpy(durable_.data() + word, arch_.data() + word,
+            std::memcpy(durable_.get() + word, arch_.get() + word,
                         8);
         }
-        lineStates_[line].store(0, std::memory_order_relaxed);
+        // The unmasked words still differ from the durable image, so
+        // the line stays dirty and finishCrash() reloads it.
         stats_.linesTorn++;
     }
     for (const LineAddr line : faults.poisoned) {
@@ -343,7 +371,10 @@ PmPool::crashWithFaults(const std::vector<LineAddr> &survivors,
         ShardGuard guard(*this, line, line);
         const Addr base = line << kCacheLineBits;
         const std::size_t n = std::min(kCacheLineSize, size_ - base);
-        std::memset(durable_.data() + base, 0, n);
+        std::memset(durable_.get() + base, 0, n);
+        // The arch image still holds the lost bytes; finishCrash()
+        // reloads the line only while it is dirty.
+        lineStates_[line].store(1, std::memory_order_relaxed);
         poisoned_[line].store(1, std::memory_order_relaxed);
         stats_.linesPoisoned++;
     }
@@ -358,8 +389,8 @@ PmPool::scrubLine(LineAddr line)
     ShardGuard guard(*this, line, line);
     const Addr base = line << kCacheLineBits;
     const std::size_t n = std::min(kCacheLineSize, size_ - base);
-    std::memset(arch_.data() + base, 0, n);
-    std::memset(durable_.data() + base, 0, n);
+    std::memset(arch_.get() + base, 0, n);
+    std::memset(durable_.get() + base, 0, n);
     lineStates_[line].store(0, std::memory_order_relaxed);
     poisoned_[line].store(0, std::memory_order_relaxed);
     stats_.linesScrubbed++;

@@ -28,6 +28,7 @@
 #include <array>
 #include <atomic>
 #include <cstdint>
+#include <memory>
 #include <mutex>
 #include <vector>
 
@@ -66,10 +67,13 @@ class PmPool
 {
   public:
     /**
-     * Create a pool of @p size bytes, zero-filled and clean, spread
-     * across @p dimms (the default geometry matches the simulator's
-     * four-DIMM platform at 256 B interleaving; the mapping only
-     * affects per-DIMM statistics and placement advice, never data).
+     * Create a pool of @p size bytes, zeroed and clean, spread across
+     * @p dimms (the default geometry matches the simulator's four-DIMM
+     * platform at 256 B interleaving; the mapping only affects
+     * per-DIMM statistics and placement advice, never data). Both
+     * images are lazily zero-mapped anonymous memory: a page costs
+     * nothing until first touched, so creating a pool is O(lines),
+     * not O(bytes).
      */
     explicit PmPool(std::size_t size,
                     const DimmConfig &dimms = DimmConfig{4, 4});
@@ -87,9 +91,9 @@ class PmPool
     }
 
     /** @{ Raw image access (bounds-checked in at()/durableAt()). */
-    std::uint8_t *archBase() { return arch_.data(); }
-    const std::uint8_t *archBase() const { return arch_.data(); }
-    const std::uint8_t *durableBase() const { return durable_.data(); }
+    std::uint8_t *archBase() { return arch_.get(); }
+    const std::uint8_t *archBase() const { return arch_.get(); }
+    const std::uint8_t *durableBase() const { return durable_.get(); }
     /** @} */
 
     /**
@@ -101,7 +105,7 @@ class PmPool
     at(Addr off)
     {
         boundsCheck(off, sizeof(T));
-        return reinterpret_cast<T *>(arch_.data() + off);
+        return reinterpret_cast<T *>(arch_.get() + off);
     }
 
     template <typename T>
@@ -109,7 +113,7 @@ class PmPool
     at(Addr off) const
     {
         boundsCheck(off, sizeof(T));
-        return reinterpret_cast<const T *>(arch_.data() + off);
+        return reinterpret_cast<const T *>(arch_.get() + off);
     }
 
     /** Typed pointer into the durable image (post-mortem inspection). */
@@ -118,7 +122,7 @@ class PmPool
     durableAt(Addr off) const
     {
         boundsCheck(off, sizeof(T));
-        return reinterpret_cast<const T *>(durable_.data() + off);
+        return reinterpret_cast<const T *>(durable_.get() + off);
     }
 
     /** Offset of a pointer that is known to point into the arch image. */
@@ -155,10 +159,19 @@ class PmPool
 
     /** @} */
 
-    /** True if the line differs (dirty) from the durable image. */
+    /**
+     * True if the line may differ from the durable image. The device
+     * invariant the crash reload relies on: a clean line's arch bytes
+     * equal its durable bytes. Every image mutation that leaves
+     * arch != durable (applyStore, applyCas64, a torn or poisoned
+     * crash line) therefore marks or leaves the line dirty.
+     */
     bool lineDirty(LineAddr line) const;
 
-    /** Number of currently dirty lines (linear scan; test helper). */
+    /**
+     * Number of currently dirty lines (linear scan). runCase() folds
+     * it into every fuzz case digest, so its value is pinned.
+     */
     std::uint64_t dirtyLineCount() const;
 
     /** All currently dirty lines, ascending (crash-fuzz helper). */
@@ -180,7 +193,9 @@ class PmPool
      * @p survival (a write-back cache may have evicted it at any
      * point); everything else keeps its last durable value. The
      * architectural image is then reloaded from the durable image,
-     * exactly as a re-mount after power-up would see it.
+     * exactly as a re-mount after power-up would see it. The reload
+     * copies only the lines still dirty: a clean line already holds
+     * its durable bytes in both images.
      */
     void crash(Rng &rng, double survival = 0.5);
 
@@ -227,6 +242,9 @@ class PmPool
      * words, and lines in @p faults.poisoned are lost outright — the
      * durable image forgets them (zero-filled) and reads of the line
      * raise PmMediaError until it is scrubbed or re-programmed.
+     * Torn and poisoned lines stay dirty until the reload, since
+     * their arch bytes still differ from the durable image; the
+     * reload then restores them and marks every line clean.
      */
     void crashWithFaults(const std::vector<LineAddr> &survivors,
                          const FaultResolution &faults);
@@ -277,14 +295,24 @@ class PmPool
         std::size_t count_ = 0;
     };
 
+    /** munmap()s an image mapped by mapImage(). */
+    struct Unmap
+    {
+        std::size_t bytes;
+        void operator()(std::uint8_t *p) const;
+    };
+    using Image = std::unique_ptr<std::uint8_t, Unmap>;
+
+    static Image mapImage(std::size_t bytes);
+
     void boundsCheck(Addr off, std::size_t n) const;
     void finishCrash();
     void persistLineLocked(LineAddr line);
 
     std::size_t size_;
     DimmConfig dimms_;
-    std::vector<std::uint8_t> arch_;
-    std::vector<std::uint8_t> durable_;
+    Image arch_;
+    Image durable_;
     /** 1 == dirty. Atomic so concurrent app threads may mark freely. */
     std::vector<std::atomic<std::uint8_t>> lineStates_;
     /** 1 == poisoned: loads raise PmMediaError until scrubbed. */

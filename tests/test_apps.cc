@@ -7,9 +7,14 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstring>
+
 #include "analysis/access_mix.hh"
 #include "analysis/epoch_stats.hh"
 #include "core/harness.hh"
+#include "core/runtime.hh"
+#include "pm/pm_context.hh"
 
 namespace whisper
 {
@@ -234,6 +239,91 @@ TEST(AppBehaviour, DramDominatesWhenInstrumented)
         analysis::computeAccessMix(result.runtime->traces());
     // Paper Figure 6: PM is a small minority of accesses.
     EXPECT_LT(mix.pmFraction(), 0.5);
+}
+
+/**
+ * The device invariant the dirty-only crash reload rests on: a clean
+ * line holds the same bytes in the arch and durable images. A write
+ * through a raw PmPool::at<T>() pointer that bypasses applyStore()
+ * leaves a clean line with arch != durable, and the reload would then
+ * keep bytes that never reached the media.
+ */
+void
+expectCleanLinesDurable(const pm::PmPool &pool, const std::string &app,
+                        const char *when)
+{
+    std::uint64_t differing = 0;
+    for (LineAddr line = 0; line < pool.lineCount(); line++) {
+        if (pool.lineDirty(line))
+            continue;
+        const Addr base = line << kCacheLineBits;
+        const std::size_t n =
+            std::min<std::size_t>(kCacheLineSize, pool.size() - base);
+        if (std::memcmp(pool.archBase() + base,
+                        pool.durableBase() + base, n) == 0)
+            continue;
+        if (differing++ == 0) // name the first line only
+            ADD_FAILURE() << app << " " << when << ": clean line "
+                          << line << " differs from the durable image";
+    }
+    EXPECT_EQ(differing, 0u) << app << " " << when;
+}
+
+TEST(DeviceInvariant, CleanLinesMatchDurableInEveryApp)
+{
+    AppConfig config;
+    config.threads = 1;
+    config.opsPerThread = 24;
+    config.poolBytes = 24 << 20;
+    config.seed = 7;
+    std::uint64_t torn = 0;
+    for (const std::string &name : core::registeredApps()) {
+        // A whole run, counting PM ops for the power cut below.
+        core::Runtime full(config.poolBytes, config.threads);
+        std::unique_ptr<core::WhisperApp> app =
+            core::createApp(name, config);
+        app->setup(full);
+        full.installCrashPlan();
+        full.runThreads(1, [&](pm::PmContext &ctx, ThreadId tid) {
+            app->run(full, ctx, tid);
+        });
+        expectCleanLinesDurable(full.pool(), name, "after setup + run");
+        const std::uint64_t total = full.pmOpsSeen();
+        ASSERT_GT(total, 0u) << name;
+
+        // Cut power half way, so lines are in flight, and let every
+        // dirty line survive with word tearing and a poisoned line.
+        core::Runtime cut(config.poolBytes, config.threads);
+        app = core::createApp(name, config);
+        app->setup(cut);
+        cut.armCrashPoint(total / 2);
+        cut.runThreads(1, [&](pm::PmContext &ctx, ThreadId tid) {
+            try {
+                app->run(cut, ctx, tid);
+            } catch (const pm::CrashPointReached &) {
+            }
+        });
+        ASSERT_TRUE(cut.crashPointFired()) << name;
+        pm::PmPool &pool = cut.pool();
+        expectCleanLinesDurable(pool, name, "at a mid-run power cut");
+        pm::FaultPlan plan;
+        plan.seed = 11;
+        plan.poisonCount = 1;
+        plan.tearProb = 0.5;
+        const std::vector<LineAddr> survivors = pool.dirtyLines();
+        const pm::FaultResolution faults =
+            pool.resolveFaults(plan, survivors);
+        torn += faults.torn.size();
+        cut.crashWithFaults(survivors, faults);
+        EXPECT_EQ(pool.dirtyLineCount(), 0u) << name;
+        EXPECT_EQ(std::memcmp(pool.archBase(), pool.durableBase(),
+                              pool.size()),
+                  0)
+            << name << ": arch image differs from the durable image "
+            << "after a torn crash";
+    }
+    // The torn-survivor path really ran.
+    EXPECT_GT(torn, 0u);
 }
 
 } // namespace
