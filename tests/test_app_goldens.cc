@@ -1,7 +1,7 @@
 /**
  * @file
- * Pinned behaviour of the library/native paper apps. Each app keeps
- * one persistent structure that drives both run() (the paper
+ * Pinned behaviour of the library/native and PMFS paper apps. Each
+ * app keeps one persistent structure that drives both run() (the paper
  * workload, crash-fuzzed here) and the generated-workload surface
  * (YCSB mixes, pinned here), so any refactor of that structure must
  * leave these digests bit-identical: a changed digest means a changed
@@ -24,6 +24,7 @@ namespace
 const std::vector<std::string> kApps = {
     "echo",    "ycsb",     "tpcc",     "redis",
     "ctree",   "hashmap",  "vacation", "memcached",
+    "exim",    "nfs",      "mysql",
 };
 
 /** 16-case sweep per app over 8 MB pools, no shrinking. */
@@ -59,6 +60,8 @@ TEST(AppGoldens, CrashSweepDigests)
         0x5f0763f020fddb75ull, 0x3d17c749b9defa9dull,
         0x9980c0bfa1dffcfbull, 0x3e8bed252cfecd99ull,
         0x5bdcf7337631ada3ull, 0xf556513734ad2b39ull,
+        0x0041f89bde20a9d9ull, 0xe2557b2f760b0a63ull,
+        0x5aef79fe174767d9ull,
     });
 }
 
@@ -69,6 +72,8 @@ TEST(AppGoldens, FaultSweepDigests)
         0x140fc36b42606a49ull, 0x6aebbe258c5a1507ull,
         0xa4f3510a156e257full, 0xda2c42635100ec28ull,
         0xda62a4726e8a903bull, 0xf2c828456653d754ull,
+        0x922b581330997e0cull, 0xe0156a25827edbabull,
+        0x8eabc07bea7d337dull,
     });
 }
 
@@ -76,7 +81,7 @@ TEST(AppGoldens, WorkloadDigests)
 {
     // Rows follow kApps, columns mixes A, E, F. ycsb and tpcc share
     // nstore's workload surface, so their rows are equal.
-    const std::uint64_t want[8][3] = {
+    const std::uint64_t want[11][3] = {
         {0x1974038a61343f8dull, 0xfc845eaadf95c064ull,
          0xca6ba2734334e73eull},
         {0x20e54d2688c8f505ull, 0x8ea270694326f487ull,
@@ -93,6 +98,12 @@ TEST(AppGoldens, WorkloadDigests)
          0x76b9ba2ee9409658ull},
         {0x1ee74c12c0ce9bafull, 0x566c351b94621c4dull,
          0xd79099f6c51b9d38ull},
+        {0x80e71e821011d1e2ull, 0x3be3ceb4ae26ecb4ull,
+         0x68f76294f35ad3a1ull},
+        {0x55adc3b877515c61ull, 0x427bfe09bd33ec0full,
+         0x9379646353eb3549ull},
+        {0x3d69474f9e7494c4ull, 0x2eba2f29334ae0e8ull,
+         0xb402058ff27930a2ull},
     };
     const char mixes[3] = {'A', 'E', 'F'};
     for (std::size_t a = 0; a < kApps.size(); a++) {
