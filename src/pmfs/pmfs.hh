@@ -97,22 +97,6 @@ class Pmfs : public BtNodeAllocator
     /** Remove a file (directories must be empty). */
     bool unlink(pm::PmContext &ctx, const std::string &path);
 
-    /**
-     * Rename within the tree. Atomic: one journal transaction covers
-     * the source removal and the destination insertion; the
-     * destination must not exist, and a directory cannot be moved
-     * into its own subtree.
-     */
-    bool rename(pm::PmContext &ctx, const std::string &from,
-                const std::string &to);
-
-    /**
-     * Truncate a regular file to @p new_size (only shrinking is
-     * supported; growing happens via write()). Frees whole blocks
-     * past the new end.
-     */
-    bool truncate(pm::PmContext &ctx, Ino ino, std::uint64_t new_size);
-
     /** File size in bytes (0 for absent). */
     std::uint64_t fileSize(pm::PmContext &ctx, Ino ino);
 

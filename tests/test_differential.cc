@@ -134,11 +134,6 @@ TEST_P(FileDifferential, ContentMatchesReferenceThroughCrash)
                       static_cast<long>(n));
             reference.insert(reference.end(), chunk.begin(),
                              chunk.begin() + n);
-        } else if (pick < 0.85 && !reference.empty()) {
-            const std::uint64_t new_size =
-                rng.next(reference.size());
-            ASSERT_TRUE(fs.truncate(ctx, ino, new_size));
-            reference.resize(new_size);
         } else {
             // Spot check a random range.
             if (reference.empty())
