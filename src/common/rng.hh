@@ -18,6 +18,30 @@ namespace whisper
 {
 
 /**
+ * splitmix64 finalizer of @p x plus the golden gamma: one
+ * full-avalanche 64-bit mix. The suite's one copy — RNG seeding, fuzz
+ * case derivation, digest chains, hash indexing and value fillers all
+ * call it.
+ */
+inline std::uint64_t
+mix64(std::uint64_t x)
+{
+    x += 0x9e3779b97f4a7c15ull;
+    x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ull;
+    x = (x ^ (x >> 27)) * 0x94d049bb133111ebull;
+    return x ^ (x >> 31);
+}
+
+/** splitmix64 stream step: advance @p state, return its next value. */
+inline std::uint64_t
+splitmix64(std::uint64_t &state)
+{
+    const std::uint64_t z = mix64(state);
+    state += 0x9e3779b97f4a7c15ull;
+    return z;
+}
+
+/**
  * xoshiro256** 1.0 pseudo-random generator (Blackman & Vigna).
  *
  * Seeded through splitmix64 so that nearby seeds give unrelated

@@ -25,16 +25,6 @@ namespace whisper::fuzz
 namespace
 {
 
-/** splitmix64 finalizer: the case-derivation and digest mixer. */
-std::uint64_t
-mix64(std::uint64_t z)
-{
-    z += 0x9e3779b97f4a7c15ull;
-    z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ull;
-    z = (z ^ (z >> 27)) * 0x94d049bb133111ebull;
-    return z ^ (z >> 31);
-}
-
 std::uint64_t
 fold(std::uint64_t h, std::uint64_t v)
 {

@@ -3,6 +3,7 @@
 #include <mutex>
 
 #include "common/logging.hh"
+#include "common/rng.hh"
 
 namespace whisper::halo
 {
@@ -12,10 +13,7 @@ HaloDirectory::hashKey(std::uint64_t key)
 {
     // splitmix64 finalizer: full-avalanche, so the low index bits and
     // the top fingerprint byte are effectively independent.
-    std::uint64_t z = key + 0x9e3779b97f4a7c15ull;
-    z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ull;
-    z = (z ^ (z >> 27)) * 0x94d049bb133111ebull;
-    return z ^ (z >> 31);
+    return mix64(key);
 }
 
 HaloDirectory::HaloDirectory(unsigned initial_depth)

@@ -4,6 +4,7 @@
 #include <cstring>
 
 #include "common/logging.hh"
+#include "common/rng.hh"
 #include "common/thread_pool.hh"
 
 namespace whisper::halo
@@ -13,16 +14,6 @@ using pm::DataClass;
 
 namespace
 {
-
-/** splitmix64 finalizer for the rebuild digest chain. */
-std::uint64_t
-mix64(std::uint64_t z)
-{
-    z += 0x9e3779b97f4a7c15ull;
-    z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ull;
-    z = (z ^ (z >> 27)) * 0x94d049bb133111ebull;
-    return z ^ (z >> 31);
-}
 
 std::uint64_t
 fold(std::uint64_t h, std::uint64_t v)

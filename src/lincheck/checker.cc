@@ -5,6 +5,8 @@
 #include <set>
 #include <unordered_set>
 
+#include "common/rng.hh"
+
 namespace whisper::lincheck
 {
 
@@ -22,15 +24,6 @@ opKindName(OpKind kind)
 
 namespace
 {
-
-std::uint64_t
-mix64(std::uint64_t x)
-{
-    x += 0x9e3779b97f4a7c15ull;
-    x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ull;
-    x = (x ^ (x >> 27)) * 0x94d049bb133111ebull;
-    return x ^ (x >> 31);
-}
 
 /**
  * Sequential KV spec. Returns false when the op's observed result is

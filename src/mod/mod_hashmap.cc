@@ -6,6 +6,7 @@
 
 #include "common/crc32.hh"
 #include "common/logging.hh"
+#include "common/rng.hh"
 #include "core/verify_report.hh"
 
 namespace whisper::mod
@@ -19,18 +20,6 @@ namespace
 
 /** Safety cap on chain walks; a longer chain means a cycle. */
 constexpr std::uint64_t kMaxChain = 1u << 20;
-
-std::uint64_t
-mix64(std::uint64_t x)
-{
-    x += 0x9e3779b97f4a7c15ull;
-    x ^= x >> 30;
-    x *= 0xbf58476d1ce4e5b9ull;
-    x ^= x >> 27;
-    x *= 0x94d049bb133111ebull;
-    x ^= x >> 31;
-    return x;
-}
 
 /** Broken-commit switch (setBrokenCommitForTest). */
 std::atomic<bool> g_brokenCommit{false};

@@ -3,22 +3,13 @@
 #include <chrono>
 
 #include "common/logging.hh"
+#include "common/rng.hh"
 
 namespace whisper::pm
 {
 
 namespace
 {
-
-/** splitmix64 finalizer — the repo's standard cheap mixer. */
-std::uint64_t
-mix64(std::uint64_t x)
-{
-    x += 0x9E3779B97F4A7C15ull;
-    x = (x ^ (x >> 30)) * 0xBF58476D1CE4E5B9ull;
-    x = (x ^ (x >> 27)) * 0x94D049BB133111EBull;
-    return x ^ (x >> 31);
-}
 
 /** How long a thread may wait for its turn before we call it a bug. */
 constexpr auto kWatchdog = std::chrono::seconds(60);
