@@ -19,8 +19,8 @@
  * The generated-workload driver (src/workload/) instead calls
  * workloadSetup(), the per-op workloadGet/Put/Rmw/Scan entry points
  * and workloadCheck() (default: verify + checkRecoveryInvariants).
- * The library/native paper apps keep one persistent structure for
- * both paths: setup() formats it once over the whole pool for run()'s
+ * The paper apps keep one vector of persistent-structure instances
+ * for both paths: setup() formats one over the whole pool for run()'s
  * shared threads, workloadSetup() formats one private instance per
  * workload thread over disjoint pool slices (see WorkloadKeymap), and
  * every check walks whichever instances exist.
