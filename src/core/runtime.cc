@@ -63,14 +63,6 @@ Runtime::crashHard()
 }
 
 void
-Runtime::crashWithSurvivors(const std::vector<LineAddr> &survivors)
-{
-    pool_->crashWithSurvivors(survivors);
-    for (auto &ctx : contexts_)
-        ctx->resetPendingState();
-}
-
-void
 Runtime::crashWithFaults(const std::vector<LineAddr> &survivors,
                          const pm::FaultResolution &faults)
 {

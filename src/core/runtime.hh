@@ -62,9 +62,6 @@ class Runtime
     /** Crash where nothing un-persisted survives. */
     void crashHard();
 
-    /** Crash where exactly @p survivors persist (crash fuzzer). */
-    void crashWithSurvivors(const std::vector<LineAddr> &survivors);
-
     /**
      * Crash with media faults: @p survivors persist except as
      * @p faults dictates — torn lines keep only their masked 8-byte

@@ -450,10 +450,7 @@ runCase(const FuzzCase &c, const FuzzConfig &config,
     pm::FaultResolution faults;
     if (!c.fault.none())
         faults = rt.pool().resolveFaults(c.fault, out.survivors);
-    if (faults.none())
-        rt.crashWithSurvivors(out.survivors);
-    else
-        rt.crashWithFaults(out.survivors, faults);
+    rt.crashWithFaults(out.survivors, faults);
 
     // The machine is back on: recovery runs un-counted. Crash plans
     // must be detached BEFORE the scrub — a fired plan keeps dropping

@@ -6,7 +6,7 @@
  * rate): each case runs an application's workload, injects a
  * simulated power cut immediately before one specific PM operation
  * (pm::CrashPlan), resolves the cut with a seeded survivor set over
- * the dirty lines (PmPool::crashWithSurvivors), re-mounts through
+ * the dirty lines (PmPool::crashWithFaults), re-mounts through
  * WhisperApp::recover() and then checks both the generic post-crash
  * contract (verifyRecovered) and the access layer's recovery
  * invariants (checkRecoveryInvariants): Mnemosyne redo logs replayed

@@ -61,12 +61,6 @@ PmContext::ntStore(Addr off, const void *src, std::size_t n, DataClass cls)
 }
 
 void
-PmContext::strcpyPm(Addr off, const char *s, DataClass cls)
-{
-    store(off, s, std::strlen(s) + 1, cls);
-}
-
-void
 PmContext::flush(Addr off, std::size_t n)
 {
     if (n == 0)

@@ -112,7 +112,6 @@ class PmContext
 
     PmPool &pool() { return pool_; }
     ThreadId tid() const { return tid_; }
-    trace::TraceBuffer *traceBuffer() { return tb_; }
 
     /** @{ \name Persistent stores */
 
@@ -144,10 +143,6 @@ class PmContext
     /** Non-temporal store (paper: PM_MOVNTI / memcpy_nt). */
     void ntStore(Addr off, const void *src, std::size_t n,
                  DataClass cls = DataClass::User);
-
-    /** PM_STRCPY: store a NUL-terminated string. */
-    void strcpyPm(Addr off, const char *s,
-                  DataClass cls = DataClass::User);
 
     /** @} */
     /** @{ \name Flush and fence */
@@ -269,8 +264,6 @@ class PmContext
 
     /** Attach @p plan (nullptr detaches; no overhead when detached). */
     void setCrashPlan(CrashPlan *plan) { plan_ = plan; }
-
-    CrashPlan *crashPlan() { return plan_; }
 
     /** The attached plan's schedule gate, or nullptr when ungated. */
     SchedGate *

@@ -241,22 +241,7 @@ PmPool::pickSurvivors(Rng &rng, double survival) const
 void
 PmPool::crash(Rng &rng, double survival)
 {
-    crashWithSurvivors(pickSurvivors(rng, survival));
-}
-
-void
-PmPool::crashWithSurvivors(const std::vector<LineAddr> &survivors)
-{
-    for (const LineAddr line : survivors) {
-        if (!lineDirty(line))
-            continue;
-        persistLine(line);
-        // Crash survivals are a separate phenomenon from cache
-        // evictions; conflating them skewed every eviction-rate
-        // report.
-        stats_.linesSurvivedCrash++;
-    }
-    finishCrash();
+    crashWithFaults(pickSurvivors(rng, survival), {});
 }
 
 void
@@ -344,6 +329,9 @@ PmPool::crashWithFaults(const std::vector<LineAddr> &survivors,
         }
         if (!torn) {
             persistLine(line);
+            // Crash survivals are a separate phenomenon from cache
+            // evictions; conflating them skewed every eviction-rate
+            // report.
             stats_.linesSurvivedCrash++;
             continue;
         }

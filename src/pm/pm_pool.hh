@@ -81,10 +81,7 @@ class PmPool
     std::size_t size() const { return size_; }
     std::size_t lineCount() const { return lineStates_.size(); }
 
-    /** DIMM interleaving geometry of this pool. */
-    const DimmConfig &dimmConfig() const { return dimms_; }
-
-    /** Home DIMM of @p off: pure in (off, dimmConfig()). */
+    /** Home DIMM of @p off: pure in off and the pool's DIMM geometry. */
     unsigned dimmOf(Addr off) const
     {
         return dimms_.dimmOf(lineOf(off));
@@ -206,14 +203,6 @@ class PmPool
      */
     void crashHard();
 
-    /**
-     * Crash with an explicit survivor set: exactly the dirty lines in
-     * @p survivors persist, everything else keeps its durable value.
-     * The crash-fuzz shrinker uses this to search for the smallest
-     * surviving-line set that still breaks recovery.
-     */
-    void crashWithSurvivors(const std::vector<LineAddr> &survivors);
-
     /** @{ Media-fault model (see fault_plan.hh). */
 
     /**
@@ -222,7 +211,6 @@ class PmPool
      * emits PM operations, so traced op counts are unaffected.
      */
     void setFaultPlan(const FaultPlan &plan) { faultPlan_ = plan; }
-    const FaultPlan &faultPlan() const { return faultPlan_; }
 
     /**
      * Resolve @p plan against the current dirty set and @p survivors
@@ -237,11 +225,15 @@ class PmPool
         const;
 
     /**
-     * Crash with media faults: survivors persist as usual except that
-     * lines named in @p faults.torn persist only their masked 8-byte
-     * words, and lines in @p faults.poisoned are lost outright — the
-     * durable image forgets them (zero-filled) and reads of the line
-     * raise PmMediaError until it is scrubbed or re-programmed.
+     * Crash with an explicit survivor set: exactly the dirty lines in
+     * @p survivors persist, everything else keeps its durable value
+     * (the crash-fuzz shrinker searches this way for the smallest
+     * surviving set that still breaks recovery). Empty @p faults give
+     * a plain crash; otherwise lines named in @p faults.torn persist
+     * only their masked 8-byte words, and lines in @p faults.poisoned
+     * are lost outright — the durable image forgets them
+     * (zero-filled) and reads of the line raise PmMediaError until it
+     * is scrubbed or re-programmed.
      * Torn and poisoned lines stay dirty until the reload, since
      * their arch bytes still differ from the durable image; the
      * reload then restores them and marks every line clean.

@@ -171,7 +171,7 @@ TEST(PmPool, CrashWithSurvivorsKeepsExactlyThatSet)
         w.ctx.store(off, &v, 8);
     }
     // Keep lines 0 and 2; line addresses are byte offsets / 64.
-    w.pool.crashWithSurvivors({0, 2});
+    w.pool.crashWithFaults({0, 2}, {});
     EXPECT_EQ(*w.pool.at<std::uint64_t>(0), 1u);
     EXPECT_EQ(*w.pool.at<std::uint64_t>(64), 0u);
     EXPECT_EQ(*w.pool.at<std::uint64_t>(128), 129u);
