@@ -168,14 +168,14 @@ if [[ "$docs_only" == 0 ]]; then
 fi
 
 # ---------------------------------------------------------------
-# Workload smoke: one YCSB mix on three access layers. Each run must
+# Workload smoke: one YCSB mix on four access layers. Each run must
 # verify its invariants, and two runs at the same seed must print an
 # identical JSON object — the determinism contract the latency
 # numbers in docs/WORKLOADS.md rest on.
 # ---------------------------------------------------------------
 if [[ "$docs_only" == 0 ]]; then
     echo "== workload: YCSB digest-stability smoke =="
-    for app in hashmap mod-hashmap nfs mysql; do
+    for app in hashmap mod-hashmap halo-hashmap nfs mysql; do
         a=$(run_leg build/examples/whisper_cli workload --app "$app" \
             --mix B --keys 2000 --threads 2 --ops 200 --json)
         b=$(run_leg build/examples/whisper_cli workload --app "$app" \

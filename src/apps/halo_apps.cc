@@ -24,13 +24,15 @@
  * Thread discipline matches the MOD apps: keys carry their owning
  * thread in the top 16 bits and mutations are single-writer per
  * partition, so record images and the rebuilt index are independent
- * of thread interleaving (bit-identical fuzz digests).
+ * of thread interleaving (bit-identical fuzz digests). The workload
+ * surface comes from PartitionedApp (partitioned_app.hh).
  */
 
 #include <algorithm>
 #include <string>
 
 #include "apps/apps.hh"
+#include "apps/partitioned_app.hh"
 #include "common/logging.hh"
 #include "common/rng.hh"
 #include "halo/halo_store.hh"
@@ -45,20 +47,11 @@ using halo::HaloStore;
 namespace
 {
 
-/** Ops between durability points (one batched fence each). */
-constexpr std::uint64_t kDurabilityInterval = 16;
-
-LineAddr
-lineOf(Addr addr)
-{
-    return static_cast<LineAddr>(addr >> kCacheLineBits);
-}
-
-class HaloHashmapApp : public WhisperApp
+class HaloHashmapApp : public PartitionedApp
 {
   public:
     explicit HaloHashmapApp(const AppConfig &config)
-        : WhisperApp(config)
+        : PartitionedApp(config)
     {
         panic_if(config_.poolBytes <
                      config_.threads * 2 * halo::kSegmentBytes,
@@ -75,7 +68,11 @@ class HaloHashmapApp : public WhisperApp
         (void)rt;
         // Nothing persistent to format: every index structure is
         // DRAM, and segment headers are written lazily at first open.
-        store_ = std::make_unique<HaloStore>(storeConfig());
+        HaloStore::Config cfg;
+        cfg.base = 0;
+        cfg.bytes = config_.poolBytes;
+        cfg.threads = config_.threads;
+        store_ = std::make_unique<HaloStore>(cfg);
     }
 
     void
@@ -118,9 +115,9 @@ class HaloHashmapApp : public WhisperApp
                 }
             }
             if ((op + 1) % kDurabilityInterval == 0)
-                store_->durabilityPoint(ctx, tid);
+                durabilityPoint(ctx, tid);
         }
-        store_->threadExit(ctx, tid);
+        threadExit(ctx, tid);
     }
 
     VerifyReport
@@ -224,150 +221,7 @@ class HaloHashmapApp : public WhisperApp
         return rep;
     }
 
-    /** @{ \name Generated-workload surface
-     *
-     * The MOD key convention carries over: thread @p tid owns every
-     * key whose top 16 bits equal tid, matching the store's
-     * single-writer partitions. Durability points keep the run()
-     * cadence (every kDurabilityInterval ops).
-     */
-
-    void
-    workloadSetup(Runtime &rt, const WorkloadKeymap &map) override
-    {
-        wlMap_ = map;
-        store_ = std::make_unique<HaloStore>(storeConfig());
-        const std::uint64_t capacity =
-            store_->allocator().segmentsPerThread() *
-            halo::kRecordsPerSegment;
-        panic_if(capacity < map.slotsPerThread(),
-                 "halo-hashmap: pool too small for workload keys");
-        scratch_.assign(config_.threads,
-                        std::vector<std::uint64_t>(2048));
-        wlOps_.assign(config_.threads, 0);
-        for (unsigned t = 0; t < map.threads; t++) {
-            pm::PmContext &ctx = rt.ctx(t);
-            const ThreadId tid = static_cast<ThreadId>(t);
-            for (std::uint64_t i = 0; i < map.perThread(); i++) {
-                const std::uint64_t key = map.lo(tid) + i;
-                const std::uint64_t vals[halo::kValWords] = {
-                    key * 0x9e3779b97f4a7c15ull, key, tid};
-                panic_if(!store_->put(ctx, tid,
-                                      HaloStore::makeKey(tid, key),
-                                      vals),
-                         "halo-hashmap: segment area exhausted "
-                         "during preload");
-                if ((i + 1) % kDurabilityInterval == 0)
-                    store_->durabilityPoint(ctx, tid);
-            }
-            store_->durabilityPoint(ctx, tid);
-        }
-    }
-
-    bool
-    workloadGet(pm::PmContext &ctx, ThreadId tid,
-                std::uint64_t key) override
-    {
-        pad(ctx, tid);
-        std::uint64_t vals[halo::kValWords];
-        const bool found =
-            store_->get(ctx, HaloStore::makeKey(tid, key), vals);
-        opDone(ctx, tid);
-        return found;
-    }
-
-    void
-    workloadPut(pm::PmContext &ctx, ThreadId tid, std::uint64_t key,
-                std::uint64_t value) override
-    {
-        pad(ctx, tid);
-        const std::uint64_t vals[halo::kValWords] = {value, key, tid};
-        panic_if(!store_->put(ctx, tid, HaloStore::makeKey(tid, key),
-                              vals),
-                 "halo-hashmap: segment area exhausted");
-        opDone(ctx, tid);
-    }
-
-    bool
-    workloadRmw(pm::PmContext &ctx, ThreadId tid, std::uint64_t key,
-                std::uint64_t delta) override
-    {
-        pad(ctx, tid);
-        std::uint64_t vals[halo::kValWords] = {0, key, tid};
-        const bool found =
-            store_->get(ctx, HaloStore::makeKey(tid, key), vals);
-        vals[0] += delta;
-        panic_if(!store_->put(ctx, tid, HaloStore::makeKey(tid, key),
-                              vals),
-                 "halo-hashmap: segment area exhausted");
-        opDone(ctx, tid);
-        return found;
-    }
-
-    std::uint64_t
-    workloadScan(pm::PmContext &ctx, ThreadId tid, std::uint64_t key,
-                 std::uint64_t len) override
-    {
-        pad(ctx, tid);
-        std::uint64_t found = 0;
-        std::uint64_t vals[halo::kValWords];
-        for (std::uint64_t j = 0; j < len; j++) {
-            const std::uint64_t k = wlMap_.scanKey(tid, key, j);
-            if (store_->get(ctx, HaloStore::makeKey(tid, k), vals))
-                found++;
-        }
-        opDone(ctx, tid);
-        return found;
-    }
-
-    void
-    workloadThreadDone(pm::PmContext &ctx, ThreadId tid) override
-    {
-        store_->threadExit(ctx, tid);
-    }
-
-    VerifyReport
-    workloadCheck(Runtime &rt) override
-    {
-        return verify(rt);
-    }
-
-    bool supportsLincheck() const override { return true; }
-
-    bool
-    workloadProbe(pm::PmContext &ctx, ThreadId tid, std::uint64_t key,
-                  std::uint64_t &value) override
-    {
-        std::uint64_t vals[halo::kValWords];
-        if (!store_->get(ctx, HaloStore::makeKey(tid, key), vals))
-            return false;
-        value = vals[0];
-        return true;
-    }
-
     bool workloadHasRemove() const override { return true; }
-
-    bool
-    workloadRemove(pm::PmContext &ctx, ThreadId tid,
-                   std::uint64_t key) override
-    {
-        pad(ctx, tid);
-        // The store's remove() reports segment exhaustion, not
-        // presence (it always appends a tombstone); answer the
-        // KV-level "was it there" from the index first.
-        std::uint64_t vals[halo::kValWords];
-        const bool found =
-            store_->get(ctx, HaloStore::makeKey(tid, key), vals);
-        panic_if(!store_->remove(ctx, tid, HaloStore::makeKey(tid, key)),
-                 "halo-hashmap: segment area exhausted");
-        opDone(ctx, tid);
-        return found;
-    }
-
-    /** @} */
-
-    /** The store, for tests that inspect layer internals. */
-    HaloStore &store() { return *store_; }
 
   protected:
     void
@@ -406,17 +260,65 @@ class HaloHashmapApp : public WhisperApp
                     claimed);
     }
 
-  private:
-    HaloStore::Config
-    storeConfig() const
+    void
+    formatWorkload(Runtime &rt, const WorkloadKeymap &map) override
     {
-        HaloStore::Config cfg;
-        cfg.base = 0;
-        cfg.bytes = config_.poolBytes;
-        cfg.threads = config_.threads;
-        return cfg;
+        setup(rt);
+        const std::uint64_t capacity =
+            store_->allocator().segmentsPerThread() *
+            halo::kRecordsPerSegment;
+        panic_if(capacity < map.slotsPerThread(),
+                 "halo-hashmap: pool too small for workload keys");
     }
 
+    /** Records hold {value, key, tid}. */
+    bool
+    get(pm::PmContext &ctx, ThreadId tid, std::uint64_t key,
+        std::uint64_t &value) override
+    {
+        std::uint64_t vals[halo::kValWords];
+        if (!store_->get(ctx, HaloStore::makeKey(tid, key), vals))
+            return false;
+        value = vals[0];
+        return true;
+    }
+
+    void
+    put(pm::PmContext &ctx, ThreadId tid, std::uint64_t key,
+        std::uint64_t value) override
+    {
+        const std::uint64_t vals[halo::kValWords] = {value, key, tid};
+        panic_if(!store_->put(ctx, tid, HaloStore::makeKey(tid, key),
+                              vals),
+                 "halo-hashmap: segment area exhausted");
+    }
+
+    bool
+    remove(pm::PmContext &ctx, ThreadId tid, std::uint64_t key) override
+    {
+        // The store's remove() reports segment exhaustion, not
+        // presence (it always appends a tombstone); answer the
+        // KV-level "was it there" from the index first.
+        std::uint64_t value = 0;
+        const bool found = get(ctx, tid, key, value);
+        panic_if(!store_->remove(ctx, tid, HaloStore::makeKey(tid, key)),
+                 "halo-hashmap: segment area exhausted");
+        return found;
+    }
+
+    void
+    durabilityPoint(pm::PmContext &ctx, ThreadId tid) override
+    {
+        store_->durabilityPoint(ctx, tid);
+    }
+
+    void
+    threadExit(pm::PmContext &ctx, ThreadId tid) override
+    {
+        store_->threadExit(ctx, tid);
+    }
+
+  private:
     /** Every index entry names a valid record in a used segment. */
     void
     checkIndexBacking(Runtime &rt, VerifyReport &rep)
@@ -518,24 +420,7 @@ class HaloHashmapApp : public WhisperApp
             "visible record was never genuinely written");
     }
 
-    void
-    pad(pm::PmContext &ctx, ThreadId tid)
-    {
-        ctx.vBurst(scratch_[tid].data(), 1 << 14, 560, 240);
-        ctx.compute(6500);
-    }
-
-    void
-    opDone(pm::PmContext &ctx, ThreadId tid)
-    {
-        if (++wlOps_[tid] % kDurabilityInterval == 0)
-            store_->durabilityPoint(ctx, tid);
-    }
-
     std::unique_ptr<HaloStore> store_;
-    WorkloadKeymap wlMap_;
-    std::vector<std::vector<std::uint64_t>> scratch_;
-    std::vector<std::uint64_t> wlOps_;
 };
 
 } // namespace

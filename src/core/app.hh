@@ -23,7 +23,10 @@
  * for both paths: setup() formats one over the whole pool for run()'s
  * shared threads, workloadSetup() formats one private instance per
  * workload thread over disjoint pool slices (see WorkloadKeymap), and
- * every check walks whichever instances exist.
+ * every check walks whichever instances exist. The PMFS apps share
+ * the volume frame of apps/pmfs_app.hh; the MOD and Halo apps keep
+ * one thread-partitioned structure for both paths and share the
+ * per-key workload frame of apps/partitioned_app.hh.
  */
 
 #ifndef WHISPER_CORE_APP_HH
