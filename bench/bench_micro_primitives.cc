@@ -60,6 +60,26 @@ BM_StoreFlushFence(benchmark::State &state)
 BENCHMARK(BM_StoreFlushFence);
 
 void
+BM_FenceAfterBulkFlush(benchmark::State &state)
+{
+    // The persist of BM_StoreFlushFence after one 1 MB flush + fence
+    // has grown the thread's pending-flush set: each fence should
+    // still cost only the lines it drains.
+    World w;
+    w.ctx.flush(32 << 20, 1 << 20);
+    w.ctx.fence(pm::FenceKind::Ordering);
+    const std::uint64_t v = 1;
+    Addr off = 0;
+    for (auto _ : state) {
+        w.ctx.store(off, &v, 8);
+        w.ctx.flush(off, 8);
+        w.ctx.fence(pm::FenceKind::Ordering);
+        off = (off + 64) & ((16 << 20) - 1);
+    }
+}
+BENCHMARK(BM_FenceAfterBulkFlush);
+
+void
 BM_HopsStoreOfence(benchmark::State &state)
 {
     // The HOPS epoch: store + ofence, no flush.

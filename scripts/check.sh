@@ -76,16 +76,17 @@ fi
 
 # ---------------------------------------------------------------
 # TSan: a separate build tree (TSan and ASan cannot coexist) running
-# the MOD concurrency stress tests and the multi-threaded crash-fuzz
+# the PM pool's shard-lock races (wrapping and all-shard ranges), the
+# MOD concurrency stress tests and the multi-threaded crash-fuzz
 # replays — racing striped writers, lock-free readers, grace GC.
 # Skip with --no-tsan when iterating on docs.
 # ---------------------------------------------------------------
 if [[ "$docs_only" == 0 && "$skip_tsan" == 0 ]]; then
-    echo "== tsan: MOD + halo concurrency stress =="
+    echo "== tsan: PM shard locks + MOD + halo concurrency stress =="
     cmake -B build-tsan -S . -DWHISPER_SANITIZE=thread >/dev/null
     cmake --build build-tsan -j "$(nproc)" --target whisper_tests
     run_leg build-tsan/tests/whisper_tests \
-        --gtest_filter='ModConcurrency.*:ModHeap.*:CrashFuzz.MultiThread*:HaloDirectory.ReadersStayConsistentThroughDoubling:HaloFuzz.*:Lincheck.*:LincheckWorkload.*:LincheckFuzz.CaseReplayIsBitIdentical'
+        --gtest_filter='PmPoolConcurrency.*:ModConcurrency.*:ModHeap.*:CrashFuzz.MultiThread*:HaloDirectory.ReadersStayConsistentThroughDoubling:HaloFuzz.*:Lincheck.*:LincheckWorkload.*:LincheckFuzz.CaseReplayIsBitIdentical'
 fi
 
 # ---------------------------------------------------------------

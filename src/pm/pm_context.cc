@@ -94,11 +94,14 @@ PmContext::fence(FenceKind kind)
     }
     // sfence semantics: all of this thread's outstanding clwbs and
     // write-combining traffic reach the durable image before the fence
-    // retires.
-    for (const LineAddr line : pendingFlush_)
+    // retires. Each drained line leaves the de-duplication set on its
+    // own, so the drain costs O(lines queued); clear() would wipe
+    // every bucket the set ever grew to.
+    for (const LineAddr line : pendingFlush_) {
         pool_.persistLine(line);
+        pendingFlushSet_.erase(line);
+    }
     pendingFlush_.clear();
-    pendingFlushSet_.clear();
     for (const auto &[off, n] : pendingNt_)
         pool_.persistRange(off, n);
     pendingNt_.clear();

@@ -30,9 +30,8 @@ PmPool::mapImage(std::size_t bytes)
     return Image(static_cast<std::uint8_t *>(p), Unmap{bytes});
 }
 
-PmPool::PmPool(std::size_t size, const DimmConfig &dimms)
+PmPool::PmPool(std::size_t size)
     : size_(size),
-      dimms_(dimms),
       arch_(mapImage(size)),
       durable_(mapImage(size)),
       lineStates_((size + kCacheLineSize - 1) / kCacheLineSize),
@@ -67,31 +66,25 @@ PmPool::contains(const void *p) const
 
 PmPool::ShardGuard::ShardGuard(const PmPool &pool, LineAddr first,
                                LineAddr last)
-    : pool_(pool)
+    : pool_(pool),
+      lo_(last - first + 1 >= kLineShards ? 0 : pool.shardOf(first)),
+      hi_(last - first + 1 >= kLineShards ? kLineShards - 1
+                                          : pool.shardOf(last))
 {
-    // Collect the distinct shards of [first, last] and lock them in
-    // ascending index order — the global lock order that keeps
-    // concurrent multi-line stores deadlock-free.
-    bool want[kLineShards] = {};
-    if (last - first + 1 >= kLineShards) {
-        for (std::size_t s = 0; s < kLineShards; s++)
-            want[s] = true;
-    } else {
-        for (LineAddr line = first; line <= last; line++)
-            want[pool.shardOf(line)] = true;
-    }
-    for (std::size_t s = 0; s < kLineShards; s++) {
-        if (!want[s])
-            continue;
+    const bool wraps = lo_ > hi_;
+    for (std::size_t s = wraps ? 0 : lo_; s <= hi_; s++)
         pool_.lineShards_[s].lock();
-        shards_[count_++] = static_cast<std::uint8_t>(s);
-    }
+    for (std::size_t s = lo_; wraps && s < kLineShards; s++)
+        pool_.lineShards_[s].lock();
 }
 
 PmPool::ShardGuard::~ShardGuard()
 {
-    for (std::size_t i = count_; i-- > 0;)
-        pool_.lineShards_[shards_[i]].unlock();
+    const bool wraps = lo_ > hi_;
+    for (std::size_t s = wraps ? 0 : lo_; s <= hi_; s++)
+        pool_.lineShards_[s].unlock();
+    for (std::size_t s = lo_; wraps && s < kLineShards; s++)
+        pool_.lineShards_[s].unlock();
 }
 
 void
@@ -181,8 +174,6 @@ PmPool::persistLineLocked(LineAddr line)
     const std::size_t n = std::min(kCacheLineSize, size_ - base);
     std::memcpy(durable_.get() + base, arch_.get() + base, n);
     lineStates_[line].store(0, std::memory_order_relaxed);
-    stats_.linesPersisted++;
-    stats_.dimmLinesPersisted[dimms_.dimmOf(line)]++;
 }
 
 void

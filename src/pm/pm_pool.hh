@@ -32,7 +32,6 @@
 #include <mutex>
 #include <vector>
 
-#include "common/dimm.hh"
 #include "common/rng.hh"
 #include "common/types.hh"
 #include "pm/fault_plan.hh"
@@ -41,13 +40,12 @@ namespace whisper::pm
 {
 
 /**
- * Statistics a pool keeps about persist traffic. Counters are atomic
- * because concurrent app threads persist lines in parallel; they read
- * as plain integers.
+ * Crash and media-fault counters. None is touched by an ordinary
+ * store, load or persist, so app threads never contend on them; the
+ * simulator reports persist traffic per DIMM (SimResult.device).
  */
 struct PoolStats
 {
-    std::atomic<std::uint64_t> linesPersisted{0};     //!< drains to durable
     std::atomic<std::uint64_t> linesSurvivedCrash{0}; //!< kept by a crash
     std::atomic<std::uint64_t> crashes{0};            //!< crash() calls
     std::atomic<std::uint64_t> linesTorn{0};          //!< word-torn at crash
@@ -56,8 +54,6 @@ struct PoolStats
     std::atomic<std::uint64_t> linesScrubbed{0};      //!< scrubLine() calls
     std::atomic<std::uint64_t> transientFaults{0};    //!< retried reads
     std::atomic<std::uint64_t> mediaErrors{0};        //!< PmMediaError raised
-    /** Per-DIMM persist traffic (indexed by PmPool::dimmOf). */
-    std::array<std::atomic<std::uint64_t>, kMaxDimms> dimmLinesPersisted{};
 };
 
 /**
@@ -67,25 +63,15 @@ class PmPool
 {
   public:
     /**
-     * Create a pool of @p size bytes, zeroed and clean, spread across
-     * @p dimms (the default geometry matches the simulator's four-DIMM
-     * platform at 256 B interleaving; the mapping only affects
-     * per-DIMM statistics and placement advice, never data). Both
-     * images are lazily zero-mapped anonymous memory: a page costs
-     * nothing until first touched, so creating a pool is O(lines),
-     * not O(bytes).
+     * Create a pool of @p size bytes, zeroed and clean. Both images
+     * are lazily zero-mapped anonymous memory: a page costs nothing
+     * until first touched, so creating a pool is O(lines), not
+     * O(bytes).
      */
-    explicit PmPool(std::size_t size,
-                    const DimmConfig &dimms = DimmConfig{4, 4});
+    explicit PmPool(std::size_t size);
 
     std::size_t size() const { return size_; }
     std::size_t lineCount() const { return lineStates_.size(); }
-
-    /** Home DIMM of @p off: pure in off and the pool's DIMM geometry. */
-    unsigned dimmOf(Addr off) const
-    {
-        return dimms_.dimmOf(lineOf(off));
-    }
 
     /** @{ Raw image access (bounds-checked in at()/durableAt()). */
     std::uint8_t *archBase() { return arch_.get(); }
@@ -274,7 +260,14 @@ class PmPool
 
     std::size_t shardOf(LineAddr line) const { return line % kLineShards; }
 
-    /** Lock the shards of lines [first, last], deadlock-free. */
+    /**
+     * Lock the shards of lines [first, last]. Consecutive lines map to
+     * consecutive shards, so the set is the range lo_..hi_, which
+     * wraps past the last shard when lo_ > hi_ and is every shard once
+     * the span reaches kLineShards lines. Shards lock in ascending
+     * index order (0..hi_, then lo_..63 when wrapped): one global lock
+     * order, so concurrent multi-line accesses never deadlock.
+     */
     class ShardGuard
     {
       public:
@@ -283,8 +276,8 @@ class PmPool
 
       private:
         const PmPool &pool_;
-        std::array<std::uint8_t, kLineShards> shards_{};
-        std::size_t count_ = 0;
+        std::size_t lo_;
+        std::size_t hi_;
     };
 
     /** munmap()s an image mapped by mapImage(). */
@@ -302,7 +295,6 @@ class PmPool
     void persistLineLocked(LineAddr line);
 
     std::size_t size_;
-    DimmConfig dimms_;
     Image arch_;
     Image durable_;
     /** 1 == dirty. Atomic so concurrent app threads may mark freely. */

@@ -81,6 +81,35 @@ TEST(Runtime, DuplicateFlushesCoalescePerFenceInterval)
     EXPECT_EQ(ctx.pendingFlushes().size(), 1u);
 }
 
+TEST(Runtime, DuplicateFlushesCoalesceAfterABigDrain)
+{
+    // A fence drains its own queue line by line; after a drain of
+    // thousands of lines the de-duplication must still absorb a
+    // repeated flush within one interval and re-queue it in the next.
+    constexpr std::size_t kLines = 4096;
+    Runtime rt(1 << 20, 1);
+    pm::PmContext &ctx = rt.ctx(0);
+    ctx.flush(0, kLines * kCacheLineSize);
+    ASSERT_EQ(ctx.pendingFlushes().size(), kLines);
+    ctx.fence(pm::FenceKind::Durability);
+    EXPECT_TRUE(ctx.pendingFlushes().empty());
+
+    const Addr line = 1234 * kCacheLineSize;
+    const auto flushes = [&] {
+        return rt.traces().totalCounters().pmFlushes;
+    };
+    const std::uint64_t before = flushes();
+    ctx.flush(line, 8);
+    ctx.flush(line, 8);
+    EXPECT_EQ(ctx.pendingFlushes(), std::vector<LineAddr>{lineOf(line)});
+    EXPECT_EQ(flushes(), before + 1);
+
+    ctx.fence(pm::FenceKind::Durability);
+    ctx.flush(line, 8);
+    EXPECT_EQ(ctx.pendingFlushes(), std::vector<LineAddr>{lineOf(line)});
+    EXPECT_EQ(flushes(), before + 2);
+}
+
 TEST(Hops, DfenceMakesTrackedStoresDurable)
 {
     Runtime rt(1 << 20, 1);

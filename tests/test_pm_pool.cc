@@ -7,6 +7,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
+#include <thread>
+#include <vector>
 
 #include "common/logical_clock.hh"
 #include "pm/pm_context.hh"
@@ -409,6 +412,99 @@ TEST(PmPool, TransientFaultsRetryInvisibly)
     }
     EXPECT_GE(w.pool.stats().transientFaults.load(), 3u);
     EXPECT_EQ(w.pool.stats().mediaErrors.load(), 0u);
+}
+
+/** A word whose halves check each other: any torn mix fails wordOk. */
+std::uint64_t
+tagWord(std::uint32_t x)
+{
+    return (std::uint64_t{x} << 32) | static_cast<std::uint32_t>(~x);
+}
+
+bool
+wordOk(std::uint64_t w)
+{
+    return static_cast<std::uint32_t>(w >> 32) ==
+           static_cast<std::uint32_t>(~w);
+}
+
+TEST(PmPoolConcurrency, StoreOfSixtyFourLinesTakesEveryShard)
+{
+    // Lines 32..95 cover every shard once, wrapping past shard 63.
+    pm::PmPool pool(1 << 20);
+    std::vector<std::uint64_t> src(64 * kCacheLineSize / 8);
+    for (std::size_t i = 0; i < src.size(); i++)
+        src[i] = tagWord(static_cast<std::uint32_t>(i));
+    const Addr off = 32 * kCacheLineSize;
+    pool.applyStore(off, src.data(), src.size() * 8);
+    std::vector<std::uint64_t> back(src.size());
+    pool.applyLoad(off, back.data(), back.size() * 8);
+    EXPECT_EQ(back, src);
+    for (LineAddr line = 32; line < 96; line++)
+        EXPECT_TRUE(pool.lineDirty(line)) << line;
+    EXPECT_FALSE(pool.lineDirty(31));
+    EXPECT_FALSE(pool.lineDirty(96));
+    EXPECT_EQ(pool.dirtyLineCount(), 64u);
+}
+
+TEST(PmPoolConcurrency, WrappingAndFullShardRangesNeverTearAWord)
+{
+    // Three threads race on lines 63 and 64 (shards 63 and 0): a
+    // 128-byte store across them, a 65-line store that takes every
+    // shard, and a CAS + load loop on single words of both lines.
+    // Each writer fills whole words with tagWord values, so a reader
+    // that sees a mix of two writes fails wordOk.
+    pm::PmPool pool(1 << 20);
+    constexpr std::uint32_t kRounds = 2000;
+    const Addr seam = 63 * kCacheLineSize;
+    const Addr wide = 32 * kCacheLineSize;
+    {
+        const std::vector<std::uint64_t> init(65 * kCacheLineSize / 8,
+                                              tagWord(0));
+        pool.applyStore(wide, init.data(), init.size() * 8);
+    }
+    std::atomic<std::uint64_t> torn{0};
+
+    std::thread seamWriter([&] {
+        std::uint64_t words[16];
+        for (std::uint32_t r = 1; r <= kRounds; r++) {
+            std::fill(words, words + 16, tagWord(r));
+            pool.applyStore(seam, words, sizeof(words));
+            std::uint64_t back[16];
+            pool.applyLoad(seam, back, sizeof(back));
+            for (const std::uint64_t w : back)
+                torn += !wordOk(w);
+        }
+    });
+    std::thread wideWriter([&] {
+        std::vector<std::uint64_t> words(65 * kCacheLineSize / 8);
+        for (std::uint32_t r = 1; r <= kRounds; r++) {
+            std::fill(words.begin(), words.end(), tagWord(r << 16));
+            pool.applyStore(wide, words.data(), words.size() * 8);
+        }
+    });
+    std::thread casser([&] {
+        const Addr slots[2] = {seam + 8, seam + kCacheLineSize + 8};
+        for (std::uint32_t r = 1; r <= kRounds; r++) {
+            for (const Addr off : slots) {
+                std::uint64_t cur = 0;
+                pool.applyLoad(off, &cur, 8);
+                torn += !wordOk(cur);
+                pool.applyCas64(off, cur, tagWord(r | 0x80000000u));
+            }
+        }
+    });
+    seamWriter.join();
+    wideWriter.join();
+    casser.join();
+
+    EXPECT_EQ(torn.load(), 0u);
+    std::vector<std::uint64_t> after(65 * kCacheLineSize / 8);
+    pool.applyLoad(wide, after.data(), after.size() * 8);
+    for (const std::uint64_t w : after)
+        EXPECT_TRUE(wordOk(w));
+    EXPECT_TRUE(pool.lineDirty(63));
+    EXPECT_TRUE(pool.lineDirty(64));
 }
 
 } // namespace
